@@ -155,6 +155,19 @@ def _threads(args) -> int:
     return os.cpu_count() or 1
 
 
+def _workers(args) -> int:
+    """Worker processes the command's engine calls start; 1 when serial."""
+    threads = _threads(args)
+    if args.command == "count":
+        return eng.pool_size(_build_query(args), threads)
+    if args.which == "genus":
+        return eng.pool_size(CountQuery(frobenius=args.f), threads)
+    # mult_distribution counts one length per engine call
+    return max(eng.pool_size(CountQuery(frobenius=args.f, length=length),
+                             threads)
+               for length in range(1, args.f + 1))
+
+
 def _fraction_payload(value: Fraction | int) -> tuple[int, int]:
     frac = Fraction(value)
     return frac.numerator, frac.denominator
@@ -229,7 +242,7 @@ def _cmd_dist(args, out) -> int:
     if args.which == "mult":
         dist = stats_mod.mult_distribution(args.f, threads=threads)
     else:
-        dist = stats_mod.genus_stats(args.f).distribution
+        dist = stats_mod.genus_stats(args.f, threads=threads).distribution
     total = dist.total
     print("key,count,probability_num,probability_den", file=out)
     for key, count in dist.pairs:
@@ -251,8 +264,7 @@ def _cmd_hom(args, out) -> int:
         return 0
     with open(args.graph, encoding="utf-8") as handle:
         graph = gr.graph_from_text(handle.read())
-    count = gr.hom_count(graph, gr.threshold_target(args.q),
-                         max_vertices=graph.vertex_count)
+    count = gr.hom_count(graph, gr.threshold_target(args.q))
     _emit_json({"vertices": graph.vertex_count, "q": args.q,
                 "count": count}, out)
     return 0
@@ -374,8 +386,7 @@ def main(argv=None) -> int:
         print(f"kunzlab: verification failure: {exc}", file=err)
         return 1
     elapsed = time.perf_counter() - start
-    workers = getattr(args, "threads", None)
-    suffix = "" if workers is None else f" workers={workers or os.cpu_count() or 1}"
+    suffix = "" if "threads" not in args else f" workers={_workers(args)}"
     print(f"elapsed={elapsed:.3f}s{suffix}", file=err)
     return code
 

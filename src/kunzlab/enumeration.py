@@ -1,18 +1,25 @@
 """Exact enumeration and counting of Kunz words.
 
-The generic entry points (:func:`count_words`, :func:`enumerate_words`,
-:func:`genus_histogram`) take a :class:`~kunzlab.words.CountQuery` and walk a
-backtracking search over word positions, maintaining for each position the
-interval of values permitted by the defining inequalities against the prefix
-chosen so far.  A query that pins the Frobenius number determines, for every
-candidate length, both the depth and the position of the last maximal entry;
-the search then only ever visits words with the requested invariants, and the
-final position of each word is folded in closed form instead of being
-iterated.
+The generic entry points (:func:`count_words`, :func:`count_and_genus`,
+:func:`genus_histogram`, :func:`enumerate_words`) take a
+:class:`~kunzlab.words.CountQuery` and expand it into a few signed scans, one
+per word length; the query's words are the signed sum of the scans' words.  A
+query that pins the Frobenius number determines, for every candidate length,
+both the depth and the position of the last maximal entry, so each scan only
+ever visits words with the requested invariants.
+
+One walker, :func:`_walk`, searches every scan.  It keeps for each position
+the interval of values the defining inequalities allow against the prefix
+chosen so far, and hands each leaf to its caller as a whole value range of the
+final position.  Counts, genus sums and genus histograms all come from one
+fold of those ranges into a genus difference array; enumeration expands the
+ranges into words.  For parallel work the same walker, stopped at depth 2,
+splits the long scans into (scan, prefix) tasks, and every task of a call runs
+on one worker pool.
 
 Alongside the generic engine there are closed-form or specialised counters
 (:func:`count_stressed3`, :func:`closed_k2`, :func:`closed_k3`,
-:func:`schur_colorings`, :func:`tail_heavy_count`, :func:`med_count`,
+:func:`count_depth_le3`, :func:`tail_heavy_count`, :func:`med_count`,
 :func:`lower_bound_family`) whose results the generic engine double-checks in
 the test-suite.  Several of these are feasible far beyond the generic search
 because they exploit structure specific to small depth.
@@ -23,7 +30,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import comb, isqrt
 from multiprocessing import Pool
 
@@ -42,14 +49,20 @@ __all__ = [
     "is_tail_heavy",
     "lower_bound_family",
     "med_count",
+    "pool_size",
     "schur_colorings",
     "stressed3_genus_total",
     "tail_heavy_count",
 ]
 
+# a scan is (length, caps, floors, strict): the words of the given length lying
+# between floors and caps pointwise that satisfy both inequality families,
+# strictly when strict is 1 (the MED words)
+Scan = tuple[int, tuple[int, ...], tuple[int, ...], int]
+
 
 # ---------------------------------------------------------------------------
-# plan construction: a query becomes a few (sign, caps, floors) scans
+# plan construction: a query becomes a few signed scans
 # ---------------------------------------------------------------------------
 
 
@@ -68,9 +81,15 @@ def _depth_profile(frobenius: int, length: int) -> tuple[int, int] | None:
     return None
 
 
-def _plans(query: CountQuery) -> list[tuple[int, int, tuple[int, ...], tuple[int, ...]]]:
-    """Expand a finite query into signed (sign, length, caps, floors) scans."""
-    plans: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
+def _plans(query: CountQuery) -> list[tuple[int, Scan]]:
+    """Expand a query into signed scans whose signed sum is its word set."""
+    if not query.is_finite:
+        raise ValueError("query must fix the Frobenius number, or a length "
+                         "together with a depth bound")
+    if any(n < 0 for n in query.contains):
+        return []
+    strict = 1 if query.med else 0
+    plans: list[tuple[int, Scan]] = []
 
     def add(sign: int, length: int, caps: list[int], floors: list[int]) -> None:
         m = length + 1
@@ -78,7 +97,7 @@ def _plans(query: CountQuery) -> list[tuple[int, int, tuple[int, ...], tuple[int
             r = n % m
             if r:
                 caps[r - 1] = min(caps[r - 1], n // m)
-        plans.append((sign, length, tuple(caps), tuple(floors)))
+        plans.append((sign, (length, tuple(caps), tuple(floors), strict)))
 
     if query.frobenius is not None:
         f = query.frobenius
@@ -127,176 +146,124 @@ def _plans(query: CountQuery) -> list[tuple[int, int, tuple[int, ...], tuple[int
 
 
 # ---------------------------------------------------------------------------
-# the core scan
+# the walker
 # ---------------------------------------------------------------------------
 
 
-def _triangle(n: int) -> int:
-    return n * (n + 1) // 2
+def _walk(scan: Scan, prefix: tuple[int, ...] = (), stop: int = 0):
+    """Yield the leaves of a scan's search tree below ``prefix``.
 
-
-def _pyramid(n: int) -> int:
-    return n * (n + 1) * (2 * n + 1) // 6
-
-
-def _scan(length: int, caps: tuple[int, ...], floors: tuple[int, ...],
-          strict: int, prefix: tuple[int, ...]) -> tuple[int, int]:
-    """Count words and sum their entry totals below a fixed prefix.
-
-    Returns ``(count, genus_sum)`` over all words of the given length that
-    extend ``prefix``, lie between ``floors`` and ``caps`` pointwise, and
-    satisfy both inequality families (strictly when ``strict``).
+    The search fixes positions one at a time, from ``len(prefix) + 1`` up to
+    ``stop`` (default: the word length), and stops there.  Each leaf is
+    ``(w, gsum, lb, ub)``: ``w[1:stop]`` is a valid prefix with entry sum
+    ``gsum``, and it extends to a valid prefix of length ``stop`` exactly by
+    the values ``lb..ub`` at position ``stop``.  Leaves come in lexicographic
+    order.  ``w`` is reused, so read it before asking for the next leaf.
     """
-    w = [0] * (length + 1)
-    for k, v in enumerate(prefix):
-        w[k + 1] = v
+    length, caps, floors, strict = scan
+    stop = stop or length
     comp = 1 - strict
-    count = 0
-    genus = 0
-
-    def rec(p: int, gsum: int) -> None:
-        nonlocal count, genus
+    start = len(prefix) + 1
+    w = [0, *prefix] + [0] * (length - len(prefix))
+    top = [0] * (length + 1)  # the largest value allowed at each set position
+    gsum = sum(prefix)
+    p = start
+    while True:
         ub = caps[p - 1]
         for i in range(1, p // 2 + 1):
             cand = w[i] + w[p - i] - strict
             if cand < ub:
                 ub = cand
         lb = floors[p - 1]
-        i0 = length + 2 - p
-        if i0 < 1:
-            i0 = 1
-        for i in range(i0, p):
+        for i in range(max(1, length + 2 - p), p):
             cand = w[i + p - length - 1] - w[i] - comp
             if cand > lb:
                 lb = cand
         if 2 * p >= length + 2:
-            # the pair (p, p) wraps onto position 2p - length - 1
-            cand = w[2 * p - length - 1] - comp
-            need = cand + 1  # 2*v >= cand  <=>  v >= ceil(cand / 2)
-            cand = need // 2 if need > 0 else 0
+            # the pair (p, p) wraps onto position 2p - length - 1, so
+            # 2 * w[p] >= w[2p - length - 1] - comp; floors keep lb >= 1
+            cand = (w[2 * p - length - 1] - comp + 1) // 2
             if cand > lb:
                 lb = cand
-        if lb > ub:
+        if lb <= ub:
+            if p < stop:
+                w[p] = lb
+                top[p] = ub
+                gsum += lb
+                p += 1
+                continue
+            yield w, gsum, lb, ub
+        # back up to the deepest position with a larger value left to try
+        p -= 1
+        while p >= start and w[p] == top[p]:
+            gsum -= w[p]
+            p -= 1
+        if p < start:
             return
-        if p == length:
-            n = ub - lb + 1
-            count += n
-            genus += n * gsum + (_triangle(ub) - _triangle(lb - 1))
-            return
+        w[p] += 1
+        gsum += 1
+        p += 1
+
+
+def _words(scan: Scan, stop: int = 0):
+    """Yield the valid prefixes of length ``stop`` (default: the whole words)."""
+    end = stop or scan[0]
+    for w, _, lb, ub in _walk(scan, (), stop):
+        base = tuple(w[1:end])
         for v in range(lb, ub + 1):
-            w[p] = v
-            rec(p + 1, gsum + v)
-        w[p] = 0
-
-    start = len(prefix) + 1
-    rec(start, sum(prefix))
-    return count, genus
+            yield base + (v,)
 
 
-def _scan_task(args: tuple) -> tuple[int, int]:
-    return _scan(*args)
+def _fold(task: tuple[Scan, tuple[int, ...]]) -> list[int]:
+    """Genus histogram, indexed by genus, of one scan's words below a prefix."""
+    scan, prefix = task
+    diff = [0] * (sum(scan[1]) + 2)
+    for _, gsum, lb, ub in _walk(scan, prefix):
+        diff[gsum + lb] += 1
+        diff[gsum + ub + 1] -= 1
+    return list(accumulate(diff))
 
 
-def _prefixes(length: int, caps: tuple[int, ...], floors: tuple[int, ...],
-              strict: int, depth: int) -> list[tuple[int, ...]]:
-    """All valid prefixes of the given depth, in lexicographic order."""
-    out: list[tuple[int, ...]] = []
-    w = [0] * (length + 1)
-
-    def rec(p: int, prefix: tuple[int, ...]) -> None:
-        if p > depth:
-            out.append(prefix)
-            return
-        lb, ub = _scan_bounds(w, p, length, caps, floors, strict)
-        for v in range(lb, ub + 1):
-            w[p] = v
-            rec(p + 1, prefix + (v,))
-        w[p] = 0
-
-    rec(1, ())
-    return out
+# ---------------------------------------------------------------------------
+# one parallel path
+# ---------------------------------------------------------------------------
 
 
-def _scan_bounds(w: list[int], p: int, length: int, caps: tuple[int, ...],
-                 floors: tuple[int, ...], strict: int) -> tuple[int, int]:
-    comp = 1 - strict
-    ub = caps[p - 1]
-    for i in range(1, p // 2 + 1):
-        cand = w[i] + w[p - i] - strict
-        if cand < ub:
-            ub = cand
-    lb = floors[p - 1]
-    i0 = length + 2 - p
-    if i0 < 1:
-        i0 = 1
-    for i in range(i0, p):
-        cand = w[i + p - length - 1] - w[i] - comp
-        if cand > lb:
-            lb = cand
-    if 2 * p >= length + 2:
-        cand = w[2 * p - length - 1] - comp
-        need = cand + 1
-        cand = need // 2 if need > 0 else 0
-        if cand > lb:
-            lb = cand
-    return lb, ub
+def _tasks(query: CountQuery, threads: int):
+    """Signed ``(scan, prefix)`` tasks for the query: (serial, pooled).
+
+    With more than one thread, every scan of length 4 or more is split at its
+    depth-2 prefixes for the pool; shorter scans run whole in the caller.
+    """
+    serial, pooled = [], []
+    for sign, scan in _plans(query):
+        if threads <= 1 or scan[0] < 4:
+            serial.append((sign, (scan, ())))
+        else:
+            pooled += [(sign, (scan, pre)) for pre in _words(scan, 2)]
+    return serial, pooled
 
 
-def _scan_counts(length: int, caps: tuple[int, ...], floors: tuple[int, ...],
-                 strict: int, threads: int) -> tuple[int, int]:
-    if threads <= 1 or length < 4:
-        return _scan(length, caps, floors, strict, ())
-    prefixes = _prefixes(length, caps, floors, strict, 2)
-    if not prefixes:
-        return 0, 0
-    tasks = [(length, caps, floors, strict, pre) for pre in prefixes]
-    with Pool(processes=min(threads, len(tasks))) as pool:
-        parts = pool.map(_scan_task, tasks)
-    count = sum(part[0] for part in parts)
-    genus = sum(part[1] for part in parts)
-    return count, genus
+def pool_size(query: CountQuery, threads: int = 1) -> int:
+    """Worker processes the engine starts for the query; 1 when it runs serially."""
+    pooled = _tasks(query, threads)[1]
+    return min(threads, len(pooled)) if pooled else 1
 
 
-def _iter_scan(length: int, caps: tuple[int, ...], floors: tuple[int, ...],
-               strict: int):
-    """Yield the words of a single scan as tuples, in lexicographic order."""
-    w = [0] * (length + 1)
-
-    def rec(p: int):
-        lb, ub = _scan_bounds(w, p, length, caps, floors, strict)
-        if p == length:
-            base = tuple(w[1:length])
-            for v in range(lb, ub + 1):
-                yield base + (v,)
-            return
-        for v in range(lb, ub + 1):
-            w[p] = v
-            yield from rec(p + 1)
-        w[p] = 0
-
-    yield from rec(1)
-
-
-def _hist_scan(length: int, caps: tuple[int, ...], floors: tuple[int, ...],
-               strict: int) -> dict[int, int]:
-    """Histogram of entry totals over a single scan."""
-    w = [0] * (length + 1)
+def _histogram(query: CountQuery, threads: int) -> dict[int, int]:
+    """The signed sum of the task histograms: the body of all three counters."""
+    serial, pooled = _tasks(query, threads)
+    parts = [(sign, _fold(task)) for sign, task in serial]
+    if pooled:
+        with Pool(processes=min(threads, len(pooled))) as pool:
+            hists = pool.map(_fold, [task for _, task in pooled], chunksize=1)
+        parts += zip([sign for sign, _ in pooled], hists)
     hist: dict[int, int] = {}
-
-    def rec(p: int, gsum: int) -> None:
-        lb, ub = _scan_bounds(w, p, length, caps, floors, strict)
-        if p == length:
-            for v in range(lb, ub + 1):
-                g = gsum + v
-                hist[g] = hist.get(g, 0) + 1
-            return
-        for v in range(lb, ub + 1):
-            w[p] = v
-            rec(p + 1, gsum + v)
-        w[p] = 0
-
-    rec(1, 0)
-    return hist
+    for sign, part in parts:
+        for g, n in enumerate(part):
+            if n:
+                hist[g] = hist.get(g, 0) + sign * n
+    return {g: n for g, n in sorted(hist.items()) if n}
 
 
 # ---------------------------------------------------------------------------
@@ -304,41 +271,24 @@ def _hist_scan(length: int, caps: tuple[int, ...], floors: tuple[int, ...],
 # ---------------------------------------------------------------------------
 
 
+def genus_histogram(query: CountQuery, threads: int = 1) -> dict[int, int]:
+    """Exact histogram ``genus -> number of matching words``.
+
+    With ``threads > 1`` the scans of length 4 or more run on one pool of
+    :func:`pool_size` worker processes; the result does not depend on it.
+    """
+    return _histogram(query, threads)
+
+
 def count_and_genus(query: CountQuery, threads: int = 1) -> tuple[int, int]:
     """Number of matching words and the sum of their genera."""
-    if not query.is_finite:
-        raise ValueError("query must fix the Frobenius number, or a length "
-                         "together with a depth bound")
-    if any(n < 0 for n in query.contains):
-        return 0, 0
-    strict = 1 if query.med else 0
-    count = 0
-    genus = 0
-    for sign, length, caps, floors in _plans(query):
-        part = _scan_counts(length, caps, floors, strict, threads)
-        count += sign * part[0]
-        genus += sign * part[1]
-    return count, genus
+    hist = _histogram(query, threads)
+    return sum(hist.values()), sum(g * n for g, n in hist.items())
 
 
 def count_words(query: CountQuery, threads: int = 1) -> int:
     """Number of Kunz words matching the query."""
-    return count_and_genus(query, threads)[0]
-
-
-def genus_histogram(query: CountQuery) -> dict[int, int]:
-    """Exact histogram ``genus -> number of matching words``."""
-    if not query.is_finite:
-        raise ValueError("query must fix the Frobenius number, or a length "
-                         "together with a depth bound")
-    if any(n < 0 for n in query.contains):
-        return {}
-    strict = 1 if query.med else 0
-    hist: dict[int, int] = {}
-    for sign, length, caps, floors in _plans(query):
-        for g, n in _hist_scan(length, caps, floors, strict).items():
-            hist[g] = hist.get(g, 0) + sign * n
-    return {g: n for g, n in sorted(hist.items()) if n}
+    return sum(_histogram(query, threads).values())
 
 
 def enumerate_words(query: CountQuery):
@@ -347,31 +297,13 @@ def enumerate_words(query: CountQuery):
     Words of different lengths interleave in plain tuple order, so the output
     is globally sorted; within one length it is ascending lexicographic.
     """
-    if not query.is_finite:
-        raise ValueError("query must fix the Frobenius number, or a length "
-                         "together with a depth bound")
-    if any(n < 0 for n in query.contains):
-        return
-    strict = 1 if query.med else 0
-    streams = []
-    if query.frobenius is None and query.depth_exact is not None and not query.stressed:
-        # single positive scan with a post-filter instead of signed subtraction
-        q = query.depth_exact
-        caps = [q] * query.length
-        m = query.length + 1
-        for n in query.contains:
-            r = n % m
-            if r:
-                caps[r - 1] = min(caps[r - 1], n // m)
-        words = _iter_scan(query.length, tuple(caps), (1,) * query.length, strict)
-        streams.append(w for w in words if max(w) == q)
-    else:
-        for sign, length, caps, floors in _plans(query):
-            assert sign == 1
-            streams.append(_iter_scan(length, caps, floors, strict))
-    for w in heapq.merge(*streams):
+    plans = _plans(query)
+    words = heapq.merge(*(_words(scan) for sign, scan in plans if sign > 0))
+    if any(sign < 0 for sign, _ in plans):
+        # the subtracted scan is the words of maximum below the exact depth
+        words = (w for w in words if max(w) == query.depth_exact)
+    for w in words:
         yield KunzWord(w)
-
 
 # ---------------------------------------------------------------------------
 # stressed depth-3 words: subset scan over the positions holding a 1
@@ -436,13 +368,22 @@ def stressed3_genus_total(length: int) -> tuple[int, int]:
 
 
 def count_depth_le3(length: int) -> int:
-    """Words of depth at most 3, by splitting at the last entry equal to 3."""
+    """Words of depth at most 3, by splitting at the last entry equal to 3.
+
+    With entries in {1, 2, 3} the only inequality that can fail is 1 + 1 < 3,
+    so these words are also the 3-colourings of 1..length in which no sum of
+    two colour-1 elements (x = y allowed) has colour 3; :func:`schur_colorings`
+    is this same function under that name.
+    """
     if length < 0:
         raise ValueError("length must be nonnegative")
     total = 1 << length  # depth <= 2: all {1,2}-words are valid
     for j in range(1, length + 1):
         total += (1 << (length - j)) * count_stressed3(j)
     return total
+
+
+schur_colorings = count_depth_le3
 
 
 # ---------------------------------------------------------------------------
@@ -473,36 +414,6 @@ def closed_k3(frobenius: int, length: int) -> int:
     if 1 <= j <= ell:
         return (1 << (ell - j)) * count_stressed3(j)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# colourings counted by the same recursion
-# ---------------------------------------------------------------------------
-
-
-def schur_colorings(n: int) -> int:
-    """3-colourings of 1..n where colour-1 sums never land on colour 3.
-
-    Counts maps c with no pair x, y of colour 1 (x = y allowed) for which
-    x + y <= n and c(x + y) = 3.  Greens and blues branch identically except
-    where blue is forbidden, so the search tracks only the colour-1 positions
-    and the sums they generate.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1
-    limit = (1 << (n + 1)) - 1
-
-    def rec(p: int, ones: int, sums: int) -> int:
-        if p == n:
-            return 2 if (sums >> n) & 1 else 3
-        total = rec(p + 1, ones | (1 << p),
-                    (sums | ((ones | (1 << p)) << p)) & limit)
-        total += rec(p + 1, ones, sums) * (1 if (sums >> p) & 1 else 2)
-        return total
-
-    return rec(1, 0, 0)
 
 
 # ---------------------------------------------------------------------------

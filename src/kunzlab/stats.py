@@ -217,16 +217,17 @@ class GenusStats(NamedTuple):
     standardized: tuple[float, float, float]
 
 
-def genus_stats(f: int) -> GenusStats:
+def genus_stats(f: int, threads: int = 1) -> GenusStats:
     """Exact genus distribution with mean (as deviation from 3f/4) and moments.
 
     ``central_moments`` carries the exact second through fourth central
     moments; ``standardized`` divides them by the matching power of the
-    standard deviation, as floats for reporting.
+    standard deviation, as floats for reporting.  ``threads`` is the worker
+    count for the histogram, as in :func:`genus_histogram`.
     """
     if f < 1:
         raise ValueError("f must be at least 1")
-    hist = genus_histogram(CountQuery(frobenius=f))
+    hist = genus_histogram(CountQuery(frobenius=f), threads)
     dist = Distribution.from_counts(hist)
     total = dist.total
     mean = dist.mean()

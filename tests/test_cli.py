@@ -136,6 +136,16 @@ def test_hom_from_file(capsys, tmp_path):
     assert json.loads(out) == {"vertices": 3, "q": 3, "count": 22}
 
 
+def test_hom_graph_keeps_the_vertex_guard(capsys, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text(graph_to_text(LabeledGraph(13, [(1, 2)])),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "hom", "--graph", str(path), "--q", "3")
+    assert code == 2
+    assert out == ""
+    assert "pattern has 13 vertices; guard is 12" in err
+
+
 def test_bounds_stressed(capsys):
     code, out, _ = run(capsys, "bounds", "--stressed", "--ell", "9")
     assert code == 0
@@ -214,15 +224,26 @@ def test_verify_tables_suite(capsys):
 
 
 def test_determinism_across_threads(capsys):
-    outputs = set()
-    for threads in ("1", "4", "16"):
-        code, out, err = run(capsys, "count", "--f", "20",
-                             "--threads", threads)
-        assert code == 0
-        assert "elapsed=" not in out
-        assert "elapsed=" in err
-        outputs.add(out)
-    assert len(outputs) == 1
+    for argv in (("count", "--f", "20"), ("dist", "genus", "--f", "20")):
+        outputs = set()
+        for threads in ("1", "4", "16"):
+            code, out, err = run(capsys, *argv, "--threads", threads)
+            assert code == 0
+            assert "elapsed=" not in out
+            assert "elapsed=" in err
+            outputs.add(out)
+        assert len(outputs) == 1
+
+
+def test_workers_reports_processes_started(capsys):
+    # a length-3 scan always runs serially, whatever the request
+    code, _, err = run(capsys, "count", "--f", "9", "--ell", "3",
+                       "--threads", "4")
+    assert code == 0
+    assert err.rstrip().endswith(" workers=1")
+    code, _, err = run(capsys, "count", "--f", "20", "--threads", "2")
+    assert code == 0
+    assert err.rstrip().endswith(" workers=2")
 
 
 class TestExitCodes:

@@ -10,6 +10,7 @@ from itertools import product
 
 import pytest
 
+from kunzlab import enumeration
 from kunzlab.enumeration import (
     TailHeavySpec,
     closed_k2,
@@ -87,6 +88,7 @@ def test_filters_match_definition(f, extra):
     oracle = sorted(w for w in brute_frobenius(f) if query.matches(w))
     assert sorted(enumerate_words(query)) == oracle
     assert count_words(query) == len(oracle)
+    assert genus_histogram(query) == Counter(w.genus for w in oracle)
 
 
 def test_genus_histogram_matches_counter():
@@ -99,6 +101,16 @@ def test_genus_histogram_matches_counter():
     assert genus_histogram(q2) == dict(expected2)
 
 
+def test_signed_histogram_matches_brute():
+    # no Frobenius number: depth exactly 3 is (depth <= 3) minus (depth <= 2)
+    q = CountQuery(length=6, depth_exact=3)
+    words = [w for w in map(KunzWord, product(range(1, 4), repeat=6))
+             if is_kunz(w) and w.depth == 3]
+    assert genus_histogram(q) == Counter(w.genus for w in words)
+    assert count_and_genus(q) == (len(words), sum(w.genus for w in words))
+    assert sorted(enumerate_words(q)) == sorted(words)
+
+
 def test_count_and_genus_consistency():
     q = CountQuery(frobenius=13)
     count, gsum = count_and_genus(q)
@@ -109,9 +121,34 @@ def test_count_and_genus_consistency():
 
 @pytest.mark.parametrize("threads", [2, 5])
 def test_threaded_counts_agree(threads):
-    q = CountQuery(frobenius=16)
-    assert count_words(q, threads=threads) == count_words(q)
-    assert count_and_genus(q, threads=threads) == count_and_genus(q)
+    # the depth_exact query is signed: its scans are subtracted
+    for q in (CountQuery(frobenius=16), CountQuery(length=7, depth_max=3),
+              CountQuery(length=7, depth_exact=3)):
+        assert count_words(q, threads=threads) == count_words(q)
+        assert count_and_genus(q, threads=threads) == count_and_genus(q)
+        assert genus_histogram(q, threads=threads) == genus_histogram(q)
+
+
+def test_one_pool_per_call(monkeypatch):
+    opened = []
+    real_pool = enumeration.Pool
+
+    def counting_pool(*args, **kwargs):
+        opened.append(kwargs.get("processes"))
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr("kunzlab.enumeration.Pool", counting_pool)
+    query = CountQuery(frobenius=20)
+    count_words(query, threads=2)
+    assert opened == [2]
+    genus_histogram(query, threads=2)
+    assert opened == [2, 2]
+    # every scan shorter than 4 runs serially
+    count_words(CountQuery(frobenius=20, length=3), threads=2)
+    assert opened == [2, 2]
+    assert enumeration.pool_size(query, 2) == 2
+    assert enumeration.pool_size(CountQuery(frobenius=20, length=3), 2) == 1
+    assert enumeration.pool_size(query, 1) == 1
 
 
 def test_infinite_query_rejected():
@@ -283,6 +320,7 @@ def brute_schur(n: int) -> int:
 @pytest.mark.parametrize("n", range(0, 10))
 def test_schur_colorings_match_brute(n):
     assert schur_colorings(n) == brute_schur(n)
+    assert count_depth_le3(n) == brute_schur(n)
 
 
 def test_schur_guard():
