@@ -160,12 +160,7 @@ def _workers(args) -> int:
     threads = _threads(args)
     if args.command == "count":
         return eng.pool_size(_build_query(args), threads)
-    if args.which == "genus":
-        return eng.pool_size(CountQuery(frobenius=args.f), threads)
-    # mult_distribution counts one length per engine call
-    return max(eng.pool_size(CountQuery(frobenius=args.f, length=length),
-                             threads)
-               for length in range(1, args.f + 1))
+    return eng.pool_size(CountQuery(frobenius=args.f), threads)
 
 
 def _fraction_payload(value: Fraction | int) -> tuple[int, int]:

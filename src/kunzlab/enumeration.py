@@ -8,26 +8,38 @@ query that pins the Frobenius number determines, for every candidate length,
 both the depth and the position of the last maximal entry, so each scan only
 ever visits words with the requested invariants.
 
-One walker, :func:`_walk`, searches every scan.  It keeps for each position
-the interval of values the defining inequalities allow against the prefix
-chosen so far, and hands each leaf to its caller as a whole value range of the
-final position.  Counts, genus sums and genus histograms all come from one
-fold of those ranges into a genus difference array; enumeration expands the
-ranges into words.  For parallel work the same walker, stopped at depth 2,
-splits the long scans into (scan, prefix) tasks, and every task of a call runs
-on one worker pool.
+The depth of a Frobenius-number scan decides how it is answered.  The
+paper's count floor((q+1)^2/4)^(f/(2q-2)) makes depth 2 and depth 3 (about
+2^(f/2) words) outgrow every deeper layer, but those layers have closed genus
+polynomials: a scan of length l and depth q <= 3 whose last maximum sits at
+position j is x^l (q = 1, j = l), x^(l+1)(1+x)^(j-1) (q = 2), or
+S_j(x)(x+x^2)^(l-j) (q = 3), where S_j is the genus polynomial of the
+stressed depth-3 words of length j from the subset scan
+:func:`_stressed3_scan`.  Such a scan is answered at once
+(:func:`_closed_profile`, :func:`_closed_form`); only the deeper scans, and
+scans that a filter changed, are searched.
 
-Alongside the generic engine there are closed-form or specialised counters
-(:func:`count_stressed3`, :func:`closed_k2`, :func:`closed_k3`,
-:func:`count_depth_le3`, :func:`tail_heavy_count`, :func:`med_count`,
-:func:`lower_bound_family`) whose results the generic engine double-checks in
-the test-suite.  Several of these are feasible far beyond the generic search
-because they exploit structure specific to small depth.
+One walker, :func:`_walk`, searches every other scan.  It keeps for each
+position the interval of values the defining inequalities allow against the
+prefix chosen so far, and hands each leaf to its caller as a whole value range
+of the final position.  Counts, genus sums and genus histograms all come from
+one fold of those ranges into a genus difference array; enumeration expands
+the ranges into words and never takes a closed form.  For parallel work the
+same walker, stopped at depth 2, splits the long searched scans into (scan,
+prefix) tasks, and every task of a call runs on one worker pool.
+:func:`_walked_histogram` folds every scan through the walker alone: it is
+the oracle the closed forms are checked against.
+
+The other counters (:func:`count_stressed3`, :func:`closed_k2`,
+:func:`closed_k3`, :func:`count_depth_le3`, :func:`tail_heavy_count`,
+:func:`med_count`, :func:`lower_bound_family`) exploit structure specific to
+small depth and are feasible far beyond the generic search.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, product
@@ -41,6 +53,7 @@ __all__ = [
     "closed_k2",
     "closed_k3",
     "count_and_genus",
+    "count_by_length",
     "count_depth_le3",
     "count_stressed3",
     "count_words",
@@ -81,6 +94,15 @@ def _depth_profile(frobenius: int, length: int) -> tuple[int, int] | None:
     return None
 
 
+def _frobenius_scan(length: int, q: int, j: int) -> Scan:
+    """The unfiltered scan of the words of the given length whose maximum q
+    occurs last at position j: every word with one Frobenius number and
+    length (see :func:`_depth_profile`)."""
+    caps = (q,) * j + (q - 1,) * (length - j)
+    floors = (1,) * (j - 1) + (q,) + (1,) * (length - j)
+    return length, caps, floors, 0
+
+
 def _plans(query: CountQuery) -> list[tuple[int, Scan]]:
     """Expand a query into signed scans whose signed sum is its word set."""
     if not query.is_finite:
@@ -91,8 +113,10 @@ def _plans(query: CountQuery) -> list[tuple[int, Scan]]:
     strict = 1 if query.med else 0
     plans: list[tuple[int, Scan]] = []
 
-    def add(sign: int, length: int, caps: list[int], floors: list[int]) -> None:
+    def add(sign: int, length: int, caps: Sequence[int],
+            floors: Sequence[int]) -> None:
         m = length + 1
+        caps = list(caps)
         for n in query.contains:
             r = n % m
             if r:
@@ -117,10 +141,7 @@ def _plans(query: CountQuery) -> list[tuple[int, Scan]]:
                 continue
             if query.stressed and j != length:
                 continue
-            caps = [q] * j + [q - 1] * (length - j)
-            floors = [1] * length
-            floors[j - 1] = q
-            add(1, length, caps, floors)
+            add(1, *_frobenius_scan(length, q, j)[:3])
         return plans
 
     length = query.length
@@ -224,6 +245,72 @@ def _fold(task: tuple[Scan, tuple[int, ...]]) -> list[int]:
     return list(accumulate(diff))
 
 
+def _walked_histogram(query: CountQuery) -> dict[int, int]:
+    """The query's genus histogram with every scan walked, serially.
+
+    No closed form enters: this is the reference that the closed genus
+    polynomials of :func:`_closed_form` are tested against.
+    """
+    return _signed_sum((sign, _fold((scan, ()))) for sign, scan in _plans(query))
+
+
+# ---------------------------------------------------------------------------
+# closed genus polynomials for depth <= 3
+# ---------------------------------------------------------------------------
+
+
+def _closed_profile(scan: Scan) -> tuple[int, int] | None:
+    """``(q, j)`` when the scan is ``_frobenius_scan(length, q, j)`` with
+    q <= 3, so that :func:`_closed_form` answers it; otherwise ``None``.
+
+    A filter that changes the scan (MED strictness, a cap lowered by
+    ``contains``) makes it differ, and the walker answers it instead.
+    """
+    length, caps = scan[0], scan[1]
+    q = caps[0]
+    j = caps.count(q)
+    if 1 <= q <= 3 and scan == _frobenius_scan(length, q, j):
+        return q, j
+    return None
+
+
+def _closed_form(length: int, q: int, j: int) -> list[int]:
+    """Genus histogram, indexed by genus, of ``_frobenius_scan(length, q, j)``.
+
+    The genus polynomial is a head times x^shift (1+x)^free:
+
+    * q = 1: the single word of ones when j = length; for j < length the
+      positions after j are capped at 0 and there are no words;
+    * q = 2: every {1,2}-word with its last 2 at position j is valid, so
+      x^(2+length-j) (x+x^2)^(j-1);
+    * q = 3: the head up to position j is a stressed depth-3 word and the
+      tail is free over {1,2}, so S_j(x) (x+x^2)^(length-j).
+    """
+    if q == 1:
+        if j < length:
+            return []
+        head, shift, free = (1,), length, 0
+    elif q == 2:
+        head, shift, free = (1,), length + 1, j - 1
+    else:
+        head, shift, free = _stressed3_scan(j), length - j, length - j
+    row = [comb(free, i) for i in range(free + 1)]
+    hist = [0] * (shift + len(head) + free)
+    for g, c in enumerate(head):
+        if c:
+            for i, b in enumerate(row):
+                hist[shift + g + i] += c * b
+    return hist
+
+
+def _solve(scan: Scan) -> list[int]:
+    """Genus histogram of a whole scan: its closed form when it has one."""
+    profile = _closed_profile(scan)
+    if profile is None:
+        return _fold((scan, ()))
+    return _closed_form(scan[0], *profile)
+
+
 # ---------------------------------------------------------------------------
 # one parallel path
 # ---------------------------------------------------------------------------
@@ -232,12 +319,13 @@ def _fold(task: tuple[Scan, tuple[int, ...]]) -> list[int]:
 def _tasks(query: CountQuery, threads: int):
     """Signed ``(scan, prefix)`` tasks for the query: (serial, pooled).
 
-    With more than one thread, every scan of length 4 or more is split at its
-    depth-2 prefixes for the pool; shorter scans run whole in the caller.
+    With more than one thread, every walked scan of length 4 or more is split
+    at its depth-2 prefixes for the pool; shorter scans and scans with a
+    closed form run whole in the caller.
     """
     serial, pooled = [], []
     for sign, scan in _plans(query):
-        if threads <= 1 or scan[0] < 4:
+        if threads <= 1 or scan[0] < 4 or _closed_profile(scan):
             serial.append((sign, (scan, ())))
         else:
             pooled += [(sign, (scan, pre)) for pre in _words(scan, 2)]
@@ -250,20 +338,31 @@ def pool_size(query: CountQuery, threads: int = 1) -> int:
     return min(threads, len(pooled)) if pooled else 1
 
 
-def _histogram(query: CountQuery, threads: int) -> dict[int, int]:
-    """The signed sum of the task histograms: the body of all three counters."""
+def _parts(query: CountQuery, threads: int) -> list[tuple[int, int, list[int]]]:
+    """``(sign, word length, genus histogram)`` of every task of the query."""
     serial, pooled = _tasks(query, threads)
-    parts = [(sign, _fold(task)) for sign, task in serial]
+    parts = [(sign, scan[0], _solve(scan)) for sign, (scan, _) in serial]
     if pooled:
         with Pool(processes=min(threads, len(pooled))) as pool:
             hists = pool.map(_fold, [task for _, task in pooled], chunksize=1)
-        parts += zip([sign for sign, _ in pooled], hists)
+        parts += [(sign, task[0][0], hist)
+                  for (sign, task), hist in zip(pooled, hists)]
+    return parts
+
+
+def _signed_sum(parts) -> dict[int, int]:
+    """Sum of signed genus histograms, as ``genus -> count`` without zeros."""
     hist: dict[int, int] = {}
     for sign, part in parts:
         for g, n in enumerate(part):
             if n:
                 hist[g] = hist.get(g, 0) + sign * n
     return {g: n for g, n in sorted(hist.items()) if n}
+
+
+def _histogram(query: CountQuery, threads: int) -> dict[int, int]:
+    """The signed sum of the task histograms: the body of all three counters."""
+    return _signed_sum((sign, hist) for sign, _, hist in _parts(query, threads))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +373,8 @@ def _histogram(query: CountQuery, threads: int) -> dict[int, int]:
 def genus_histogram(query: CountQuery, threads: int = 1) -> dict[int, int]:
     """Exact histogram ``genus -> number of matching words``.
 
-    With ``threads > 1`` the scans of length 4 or more run on one pool of
+    Scans of depth at most 3 come from closed genus polynomials.  With
+    ``threads > 1`` the walked scans of length 4 or more run on one pool of
     :func:`pool_size` worker processes; the result does not depend on it.
     """
     return _histogram(query, threads)
@@ -289,6 +389,17 @@ def count_and_genus(query: CountQuery, threads: int = 1) -> tuple[int, int]:
 def count_words(query: CountQuery, threads: int = 1) -> int:
     """Number of Kunz words matching the query."""
     return sum(_histogram(query, threads).values())
+
+
+def count_by_length(query: CountQuery, threads: int = 1) -> dict[int, int]:
+    """Number of matching words of each length, ``length -> count``.
+
+    Every length is counted in one call, so at most one pool is opened.
+    """
+    counts: dict[int, int] = {}
+    for sign, length, hist in _parts(query, threads):
+        counts[length] = counts.get(length, 0) + sign * sum(hist)
+    return {length: n for length, n in sorted(counts.items()) if n}
 
 
 def enumerate_words(query: CountQuery):
@@ -311,60 +422,61 @@ def enumerate_words(query: CountQuery):
 
 
 @lru_cache(maxsize=None)
-def _stressed3_scan(length: int) -> tuple[int, int]:
-    """(count, genus total) over stressed depth-3 words of the given length.
+def _stressed3_scan(length: int) -> tuple[int, ...]:
+    """Genus polynomial S_length of the stressed depth-3 words of that length.
 
-    A word here has entries in {1,2,3} with the final entry equal to 3.  With
-    the last entry pinned, validity only depends on the set S of positions
-    holding a 1: the word is valid iff no two positions of S (repeats
-    allowed) sum to the final position, and every position in (S+S) below the
-    final one is then forced to hold a 2.  Positions outside S u (S+S) are
-    free over {2,3}, which the leaf accounts for in closed form.
+    Returned as its coefficients, indexed by genus.  A word here has entries
+    in {1,2,3} with the final entry equal to 3.  With the last entry pinned,
+    validity only depends on the set S of positions holding a 1: the word is
+    valid iff no two positions of S (repeats allowed) sum to the final
+    position, and every position in (S+S) below the final one is then forced
+    to hold a 2.  Positions outside S u (S+S) are free over {2,3}, so a leaf
+    contributes x^(|S| + 2*forced + 3) (x^2 + x^3)^free.  Both exponents
+    depend only on |S| and on u = |S u (S+S)| below the final position, so
+    leaves are binned by (u, |S|) and each bin is expanded once.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
     if length == 0:
-        return 1, 0
+        return (1,)
     top = 1 << length
     low_mask = top - 2  # bits 1 .. length-1
     full_mask = (top << 1) - 1
-    count = 0
-    genus = 0
+    bins = [0] * (length * length)  # index u * length + |S|, both < length
     # stack entries: (next candidate position, S mask, S u (S+S) mask, |S|)
     stack = [(1, 0, 0, 0)]
     while stack:
         p, smask, umask, size = stack.pop()
         if p == length:
-            ubits = (umask & low_mask).bit_count()
-            free = length - 1 - ubits
-            forced_two = ubits - size
-            block = 1 << free
-            count += block
-            # ones contribute 1, forced positions 2, the last position 3,
-            # and each free position averages 5/2 over its {2,3} choices.
-            genus += block * (size + 2 * forced_two + 3)
-            genus += (5 * free * block) >> 1
+            bins[(umask & low_mask).bit_count() * length + size] += 1
             continue
         stack.append((p + 1, smask, umask, size))
         new_s = smask | (1 << p)
         new_u = (umask | (1 << p) | (new_s << p)) & full_mask
         if not new_u & top:
             stack.append((p + 1, new_s, new_u, size + 1))
-    return count, genus
+    poly = [0] * (3 * length + 1)
+    for key, n in enumerate(bins):
+        if n:
+            ubits, size = divmod(key, length)
+            free = length - 1 - ubits
+            base = size + 2 * (ubits - size) + 3  # ones, forced twos, the 3
+            for i in range(free + 1):
+                poly[base + 2 * free + i] += n * comb(free, i)
+    return tuple(poly)
 
 
 def count_stressed3(length: int) -> int:
     """Number of stressed depth-3 words of the given length."""
     if length < 1:
         raise ValueError("length must be at least 1")
-    return _stressed3_scan(length)[0]
+    return sum(_stressed3_scan(length))
 
 
 def stressed3_genus_total(length: int) -> tuple[int, int]:
     """(count, genus total) for stressed depth-3 words; length 0 allowed."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    return _stressed3_scan(length)
+    poly = _stressed3_scan(length)
+    return sum(poly), sum(g * n for g, n in enumerate(poly))
 
 
 def count_depth_le3(length: int) -> int:

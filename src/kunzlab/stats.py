@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import floor, ceil
 from typing import NamedTuple
 
-from .enumeration import count_words, genus_histogram, stressed3_genus_total
+from .enumeration import count_by_length, genus_histogram, stressed3_genus_total
 from .words import CountQuery
 
 __all__ = [
@@ -167,12 +167,9 @@ def mult_distribution(f: int, threads: int = 1) -> Distribution:
     """Exact distribution of f - 2m over semigroups with Frobenius number f."""
     if f < 1:
         raise ValueError("f must be at least 1")
-    counts: dict[int, int] = {}
-    for length in range(1, f + 1):
-        c = count_words(CountQuery(frobenius=f, length=length), threads)
-        if c:
-            counts[f - 2 * (length + 1)] = c
-    return Distribution.from_counts(counts)
+    by_length = count_by_length(CountQuery(frobenius=f), threads)
+    return Distribution.from_counts(
+        {f - 2 * (length + 1): c for length, c in by_length.items()})
 
 
 def limit_mult_mass(k: int, parity: str, bracket: ExactBracket) -> ExactBracket:

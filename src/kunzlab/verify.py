@@ -131,22 +131,25 @@ def check_constant_brackets() -> CheckResult:
 
 
 def check_small_depth_closed_forms() -> CheckResult:
-    """closed_k2/closed_k3 agree with the scanning engine on every cell."""
+    """closed_k2/closed_k3 and the engine's closed genus polynomials agree
+    with the walker on every cell."""
 
     def body():
         cells = 0
         for f in range(1, 31):
             for ell in range(1, f + 1):
-                want2 = eng.count_words(
-                    CountQuery(frobenius=f, length=ell, depth_exact=2))
-                want3 = eng.count_words(
-                    CountQuery(frobenius=f, length=ell, depth_exact=3))
-                if eng.closed_k2(f, ell) != want2:
-                    return False, f"depth-2 closed form differs at {(f, ell)}"
-                if eng.closed_k3(f, ell) != want3:
-                    return False, f"depth-3 closed form differs at {(f, ell)}"
+                for q, closed in ((2, eng.closed_k2), (3, eng.closed_k3)):
+                    query = CountQuery(frobenius=f, length=ell, depth_exact=q)
+                    walked = eng._walked_histogram(query)
+                    if closed(f, ell) != sum(walked.values()):
+                        return False, (f"depth-{q} closed form differs at "
+                                       f"{(f, ell)}")
+                    if eng.genus_histogram(query) != walked:
+                        return False, (f"depth-{q} genus polynomial differs "
+                                       f"at {(f, ell)}")
                 cells += 1
-        return True, f"both closed forms match enumeration on {cells} cells"
+        return True, ("both closed forms and the engine's genus polynomials "
+                      f"match the walker on {cells} cells")
 
     return _run("closed-forms", body)
 

@@ -235,10 +235,21 @@ def test_determinism_across_threads(capsys):
         assert len(outputs) == 1
 
 
+def test_count_of_an_empty_depth1_cell(capsys):
+    # length 14 > f = 6: depth 1, and the positions after 6 hold no value
+    code, out, _ = run(capsys, "count", "--f", "6", "--m", "15")
+    assert code == 0
+    assert json.loads(out)["count"] == 0
+
+
 def test_workers_reports_processes_started(capsys):
     # a length-3 scan always runs serially, whatever the request
     code, _, err = run(capsys, "count", "--f", "9", "--ell", "3",
                        "--threads", "4")
+    assert code == 0
+    assert err.rstrip().endswith(" workers=1")
+    # every scan of f = 12 has a closed form or is shorter than 4
+    code, _, err = run(capsys, "count", "--f", "12", "--threads", "2")
     assert code == 0
     assert err.rstrip().endswith(" workers=1")
     code, _, err = run(capsys, "count", "--f", "20", "--threads", "2")

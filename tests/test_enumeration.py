@@ -28,6 +28,7 @@ from kunzlab.enumeration import (
     stressed3_genus_total,
     tail_heavy_count,
 )
+from kunzlab.refdata import load_table2
 from kunzlab.words import CountQuery, KunzWord, is_kunz, is_med
 
 
@@ -163,13 +164,63 @@ def test_infinite_query_rejected():
 # ---------------------------------------------------------------------------
 
 
+def _walked_count(query: CountQuery) -> int:
+    # the walker alone: the engine would answer these scans in closed form
+    return sum(enumeration._walked_histogram(query).values())
+
+
 def test_closed_forms_match_engine():
     for f in range(1, 17):
         for ell in range(1, f + 1):
-            assert closed_k2(f, ell) == count_words(
+            assert closed_k2(f, ell) == _walked_count(
                 CountQuery(frobenius=f, length=ell, depth_exact=2))
-            assert closed_k3(f, ell) == count_words(
+            assert closed_k3(f, ell) == _walked_count(
                 CountQuery(frobenius=f, length=ell, depth_exact=3))
+
+
+def _trimmed(hist: list[int]) -> list[int]:
+    while hist and not hist[-1]:
+        hist = hist[:-1]
+    return hist
+
+
+def test_closed_genus_polynomials_match_walker():
+    # every scan of the Frobenius queries, and of the fixed-multiplicity
+    # reference cells (some of them longer than f), up to f = 30
+    scans = {scan for f in range(1, 31)
+             for _, scan in enumeration._plans(CountQuery(frobenius=f))}
+    scans |= {scan for f, m in load_table2() if f <= 30
+              for _, scan in enumeration._plans(
+                  CountQuery(frobenius=f, length=m - 1))}
+    closed = 0
+    for scan in scans:
+        profile = enumeration._closed_profile(scan)
+        if profile is None:
+            assert max(scan[1]) >= 4
+            continue
+        closed += 1
+        assert _trimmed(enumeration._closed_form(scan[0], *profile)) == \
+            _trimmed(enumeration._fold((scan, ())))
+    assert closed > 300
+
+
+def test_filtered_scans_keep_the_walker():
+    # a lowered cap or MED strictness changes the scan: no closed form
+    for query in (CountQuery(frobenius=11, med=True),
+                  CountQuery(frobenius=11, contains=(4,))):
+        profiles = [enumeration._closed_profile(scan)
+                    for _, scan in enumeration._plans(query)]
+        assert None in profiles
+
+
+def test_empty_depth1_scan_counts_zero():
+    # f = 6 with length 14: depth 1 with its last 1 at position 6 < 14, so
+    # positions 7..14 are capped at 0 and the scan holds no words
+    query = CountQuery(frobenius=6, length=14)
+    assert count_words(query) == 0 == _walked_count(query)
+    assert genus_histogram(query) == {}
+    # its multiplicity route counts such scans; a phantom word would raise
+    assert med_count(4) == 2
 
 
 def test_stressed3_small_values():
@@ -190,15 +241,17 @@ def test_stressed3_matches_engine(ell):
     # a stressed depth-3 word of length ell has Frobenius number 3*ell + 2
     q = CountQuery(frobenius=3 * ell + 2, length=ell,
                    depth_exact=3, stressed=True)
-    assert count_stressed3(ell) == count_words(q)
+    walked = enumeration._walked_histogram(q)
+    assert count_stressed3(ell) == sum(walked.values())
     count, total = stressed3_genus_total(ell)
     assert total == sum(w.genus for w in enumerate_words(q))
-    assert count == count_words(q)
+    assert (count, total) == (sum(walked.values()),
+                              sum(g * n for g, n in walked.items()))
 
 
 @pytest.mark.parametrize("ell", range(0, 10))
 def test_depth_le3_matches_engine(ell):
-    expected = 1 if ell == 0 else count_words(
+    expected = 1 if ell == 0 else _walked_count(
         CountQuery(length=ell, depth_max=3))
     assert count_depth_le3(ell) == expected
 

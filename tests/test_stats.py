@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from kunzlab import enumeration
 from kunzlab.enumeration import count_words
 from kunzlab.refdata import load_table1
 from kunzlab.stats import (
@@ -121,6 +122,21 @@ def test_mult_distribution_small():
     assert d.total == 40
     with pytest.raises(ValueError):
         mult_distribution(0)
+
+
+def test_mult_distribution_opens_one_pool(monkeypatch):
+    opened = []
+    real_pool = enumeration.Pool
+
+    def counting_pool(*args, **kwargs):
+        opened.append(kwargs.get("processes"))
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr("kunzlab.enumeration.Pool", counting_pool)
+    d = mult_distribution(30, threads=2)
+    assert len(opened) <= 1
+    assert d == mult_distribution(30)
+    assert d.total == count_words(CountQuery(frobenius=30))
 
 
 def test_limit_mult_mass_edge_cases():
