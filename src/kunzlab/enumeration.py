@@ -10,12 +10,13 @@ ever visits words with the requested invariants.
 
 The depth of a Frobenius-number scan decides how it is answered.  The
 paper's count floor((q+1)^2/4)^(f/(2q-2)) makes depth 2 and depth 3 (about
-2^(f/2) words) outgrow every deeper layer, but those layers have closed genus
-polynomials: a scan of length l and depth q <= 3 whose last maximum sits at
-position j is x^l (q = 1, j = l), x^(l+1)(1+x)^(j-1) (q = 2), or
-S_j(x)(x+x^2)^(l-j) (q = 3), where S_j is the genus polynomial of the
-stressed depth-3 words of length j from the subset scan
-:func:`_stressed3_scan`.  Such a scan is answered at once
+2^(f/2) words), then depth 4 (about 6^(f/6)), outgrow every deeper layer,
+but those layers have closed genus polynomials: a scan of length l and depth
+q <= 4 whose last maximum sits at position j is x^l (q = 1, j = l),
+x^(l+1)(1+x)^(j-1) (q = 2), S_j(x)(x+x^2)^(l-j) (q = 3), where S_j is the
+genus polynomial of the stressed depth-3 words of length j from the subset
+scan :func:`_stressed3_scan`, or the polynomial of the depth-4 subset scan
+:func:`_depth4_scan` (q = 4).  Such a scan is answered at once
 (:func:`_closed_profile`, :func:`_closed_form`); only the deeper scans, and
 scans that a filter changed, are searched.
 
@@ -255,13 +256,13 @@ def _walked_histogram(query: CountQuery) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# closed genus polynomials for depth <= 3
+# closed genus polynomials for depth <= 4
 # ---------------------------------------------------------------------------
 
 
 def _closed_profile(scan: Scan) -> tuple[int, int] | None:
     """``(q, j)`` when the scan is ``_frobenius_scan(length, q, j)`` with
-    q <= 3, so that :func:`_closed_form` answers it; otherwise ``None``.
+    q <= 4, so that :func:`_closed_form` answers it; otherwise ``None``.
 
     A filter that changes the scan (MED strictness, a cap lowered by
     ``contains``) makes it differ, and the walker answers it instead.
@@ -269,7 +270,7 @@ def _closed_profile(scan: Scan) -> tuple[int, int] | None:
     length, caps = scan[0], scan[1]
     q = caps[0]
     j = caps.count(q)
-    if 1 <= q <= 3 and scan == _frobenius_scan(length, q, j):
+    if 1 <= q <= 4 and scan == _frobenius_scan(length, q, j):
         return q, j
     return None
 
@@ -277,7 +278,7 @@ def _closed_profile(scan: Scan) -> tuple[int, int] | None:
 def _closed_form(length: int, q: int, j: int) -> list[int]:
     """Genus histogram, indexed by genus, of ``_frobenius_scan(length, q, j)``.
 
-    The genus polynomial is a head times x^shift (1+x)^free:
+    For q <= 3 the genus polynomial is a sum of terms x^shift (1+x)^free:
 
     * q = 1: the single word of ones when j = length; for j < length the
       positions after j are capped at 0 and there are no words;
@@ -285,22 +286,20 @@ def _closed_form(length: int, q: int, j: int) -> list[int]:
       x^(2+length-j) (x+x^2)^(j-1);
     * q = 3: the head up to position j is a stressed depth-3 word and the
       tail is free over {1,2}, so S_j(x) (x+x^2)^(length-j).
+
+    For q = 4 the whole polynomial comes from :func:`_depth4_scan`.
     """
+    if q == 4:
+        return list(_depth4_scan(length, j))
     if q == 1:
-        if j < length:
-            return []
-        head, shift, free = (1,), length, 0
+        bins = {(length, 0): 1} if j == length else {}
     elif q == 2:
-        head, shift, free = (1,), length + 1, j - 1
+        bins = {(length + 1, j - 1): 1}
     else:
-        head, shift, free = _stressed3_scan(j), length - j, length - j
-    row = [comb(free, i) for i in range(free + 1)]
-    hist = [0] * (shift + len(head) + free)
-    for g, c in enumerate(head):
-        if c:
-            for i, b in enumerate(row):
-                hist[shift + g + i] += c * b
-    return hist
+        free = length - j
+        bins = {(g + free, free): c
+                for g, c in enumerate(_stressed3_scan(j)) if c}
+    return list(_expand(bins))
 
 
 def _solve(scan: Scan) -> list[int]:
@@ -373,7 +372,7 @@ def _histogram(query: CountQuery, threads: int) -> dict[int, int]:
 def genus_histogram(query: CountQuery, threads: int = 1) -> dict[int, int]:
     """Exact histogram ``genus -> number of matching words``.
 
-    Scans of depth at most 3 come from closed genus polynomials.  With
+    Scans of depth at most 4 come from closed genus polynomials.  With
     ``threads > 1`` the walked scans of length 4 or more run on one pool of
     :func:`pool_size` worker processes; the result does not depend on it.
     """
@@ -417,8 +416,18 @@ def enumerate_words(query: CountQuery):
         yield KunzWord(w)
 
 # ---------------------------------------------------------------------------
-# stressed depth-3 words: subset scan over the positions holding a 1
+# subset scans: stressed depth-3 words and depth-4 Frobenius scans
 # ---------------------------------------------------------------------------
+
+
+def _expand(bins: dict[tuple[int, int], int]) -> tuple[int, ...]:
+    """The polynomial sum of n x^shift (1+x)^free over ``{(shift, free): n}``,
+    as its coefficients."""
+    poly = [0] * (max((shift + free for shift, free in bins), default=-1) + 1)
+    for (shift, free), n in bins.items():
+        for i in range(free + 1):
+            poly[shift + i] += n * comb(free, i)
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
@@ -455,15 +464,78 @@ def _stressed3_scan(length: int) -> tuple[int, ...]:
         new_u = (umask | (1 << p) | (new_s << p)) & full_mask
         if not new_u & top:
             stack.append((p + 1, new_s, new_u, size + 1))
-    poly = [0] * (3 * length + 1)
+    shifted: dict[tuple[int, int], int] = {}
     for key, n in enumerate(bins):
         if n:
             ubits, size = divmod(key, length)
             free = length - 1 - ubits
-            base = size + 2 * (ubits - size) + 3  # ones, forced twos, the 3
-            for i in range(free + 1):
-                poly[base + 2 * free + i] += n * comb(free, i)
-    return tuple(poly)
+            # ones, forced twos, the final 3, and the free positions' 2s
+            shifted[size + 2 * (ubits - size) + 3 + 2 * free, free] = n
+    return _expand(shifted)
+
+
+@lru_cache(maxsize=None)
+def _depth4_scan(length: int, j: int) -> tuple[int, ...]:
+    """Genus polynomial of ``_frobenius_scan(length, 4, j)``, by genus.
+
+    The maximum 4 is pinned at position j; the caps are 4 before j and 3
+    after.  With entries of at least 1, the only inequalities that can fail
+    are 1+1 onto a 3 or a 4, 1+2 onto a 4, and the wrapped 1+1+1 onto a 4.
+    So validity depends only on the set A of positions holding a 1 and the
+    set B of positions before j holding a 2 (a 2 after j is never added to
+    anything that can hold a 4).  The scan fixes, position by position,
+    whether it holds a 1, a 2 (before j only) or something larger:
+
+    * before j a larger entry may not lie on A+A; it is forced to 3 on
+      (A+B) u wrap(A+A) and is free over {3,4} elsewhere;
+    * j itself must avoid A+A, A+B and wrap(A+A);
+    * after j an entry other than 1 is forced to 2 on A+A and is free over
+      {2,3} elsewhere.
+
+    Here A+A and A+B are the sums (repeats allowed) up to the length, and
+    wrap(A+A) the positions a+b-length-1 for a+b above length+1.  A sum
+    only lands above its summands and a wrapped sum only below them, so the
+    first two sets are known when the scan reaches a position and wrap(A+A)
+    only once it is done.  A leaf contributes x^shift (1+x)^free, shift
+    counting every entry at its least value and free the positions free
+    over two values; leaves are binned by (shift, free).
+    """
+    before = (1 << j) - 2  # bits 1 .. j-1
+    after = (1 << (length + 1)) - (1 << (j + 1))  # bits j+1 .. length
+    jbit = 1 << j
+    bins: dict[tuple[int, int], int] = {}
+    # stack entries: (next position, A, B, A+A, A+B, wrap(A+A), shift) with
+    # position i at bit i; the masks above only read bits 1 .. length
+    stack = [(1, 0, 0, 0, 0, 0, 0)]
+    while stack:
+        p, ones, twos, sums, mixed, wrapped, shift = stack.pop()
+        if p > length:
+            big = before & ~(ones | twos)
+            rest = after & ~ones
+            key = shift, ((big & ~(mixed | wrapped)).bit_count()
+                          + (rest & ~sums).bit_count())
+            bins[key] = bins.get(key, 0) + 1
+            continue
+        bit = 1 << p
+        if p == j:
+            if not (sums | mixed) & bit:
+                stack.append((p + 1, ones, twos, sums, mixed, wrapped,
+                              shift + 4))
+            continue
+        new_ones = ones | bit
+        new_sums = new_ones << p
+        new_wrapped = wrapped | (new_sums >> (length + 1))
+        if not new_wrapped & jbit:
+            stack.append((p + 1, new_ones, twos, sums | new_sums,
+                          mixed | (twos << p), new_wrapped, shift + 1))
+        if p > j:
+            stack.append((p + 1, ones, twos, sums, mixed, wrapped, shift + 2))
+            continue
+        stack.append((p + 1, ones, twos | bit, sums, mixed | (ones << p),
+                      wrapped, shift + 2))
+        if not sums & bit:
+            stack.append((p + 1, ones, twos, sums, mixed, wrapped, shift + 3))
+    return _expand(bins)
 
 
 def count_stressed3(length: int) -> int:

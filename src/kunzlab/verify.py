@@ -126,30 +126,31 @@ def check_constant_brackets() -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# 4: closed forms for depth 2 and 3
+# 4: closed forms for depth 2, 3 and 4
 # ---------------------------------------------------------------------------
 
 
 def check_small_depth_closed_forms() -> CheckResult:
-    """closed_k2/closed_k3 and the engine's closed genus polynomials agree
-    with the walker on every cell."""
+    """closed_k2/closed_k3 and the engine's closed genus polynomials of depth
+    2, 3 and 4 agree with the walker on every cell."""
 
     def body():
         cells = 0
         for f in range(1, 31):
             for ell in range(1, f + 1):
-                for q, closed in ((2, eng.closed_k2), (3, eng.closed_k3)):
+                for q, closed in ((2, eng.closed_k2), (3, eng.closed_k3),
+                                  (4, None)):
                     query = CountQuery(frobenius=f, length=ell, depth_exact=q)
                     walked = eng._walked_histogram(query)
-                    if closed(f, ell) != sum(walked.values()):
+                    if closed and closed(f, ell) != sum(walked.values()):
                         return False, (f"depth-{q} closed form differs at "
                                        f"{(f, ell)}")
                     if eng.genus_histogram(query) != walked:
                         return False, (f"depth-{q} genus polynomial differs "
                                        f"at {(f, ell)}")
                 cells += 1
-        return True, ("both closed forms and the engine's genus polynomials "
-                      f"match the walker on {cells} cells")
+        return True, ("both closed forms and the engine's depth 2-4 genus "
+                      f"polynomials match the walker on {cells} cells")
 
     return _run("closed-forms", body)
 

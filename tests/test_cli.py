@@ -224,7 +224,8 @@ def test_verify_tables_suite(capsys):
 
 
 def test_determinism_across_threads(capsys):
-    for argv in (("count", "--f", "20"), ("dist", "genus", "--f", "20")):
+    for argv in (("count", "--f", "20"), ("count", "--f", "24"),
+                 ("dist", "genus", "--f", "20")):
         outputs = set()
         for threads in ("1", "4", "16"):
             code, out, err = run(capsys, *argv, "--threads", threads)
@@ -252,7 +253,12 @@ def test_workers_reports_processes_started(capsys):
     code, _, err = run(capsys, "count", "--f", "12", "--threads", "2")
     assert code == 0
     assert err.rstrip().endswith(" workers=1")
+    # and so does every scan of f = 20
     code, _, err = run(capsys, "count", "--f", "20", "--threads", "2")
+    assert code == 0
+    assert err.rstrip().endswith(" workers=1")
+    # f = 24 walks a depth-5 scan of length 4
+    code, _, err = run(capsys, "count", "--f", "24", "--threads", "2")
     assert code == 0
     assert err.rstrip().endswith(" workers=2")
 

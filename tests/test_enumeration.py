@@ -29,7 +29,7 @@ from kunzlab.enumeration import (
     tail_heavy_count,
 )
 from kunzlab.refdata import load_table2
-from kunzlab.words import CountQuery, KunzWord, is_kunz, is_med
+from kunzlab.words import CountQuery, KunzWord, invariants, is_kunz, is_med
 
 
 def brute_frobenius(f: int) -> list[KunzWord]:
@@ -123,7 +123,8 @@ def test_count_and_genus_consistency():
 @pytest.mark.parametrize("threads", [2, 5])
 def test_threaded_counts_agree(threads):
     # the depth_exact query is signed: its scans are subtracted
-    for q in (CountQuery(frobenius=16), CountQuery(length=7, depth_max=3),
+    for q in (CountQuery(frobenius=16), CountQuery(frobenius=24),
+              CountQuery(length=7, depth_max=3),
               CountQuery(length=7, depth_exact=3)):
         assert count_words(q, threads=threads) == count_words(q)
         assert count_and_genus(q, threads=threads) == count_and_genus(q)
@@ -139,16 +140,21 @@ def test_one_pool_per_call(monkeypatch):
         return real_pool(*args, **kwargs)
 
     monkeypatch.setattr("kunzlab.enumeration.Pool", counting_pool)
-    query = CountQuery(frobenius=20)
+    # f = 24 has a walked depth-5 scan of length 4
+    query = CountQuery(frobenius=24)
     count_words(query, threads=2)
     assert opened == [2]
     genus_histogram(query, threads=2)
     assert opened == [2, 2]
     # every scan shorter than 4 runs serially
-    count_words(CountQuery(frobenius=20, length=3), threads=2)
+    count_words(CountQuery(frobenius=24, length=3), threads=2)
+    assert opened == [2, 2]
+    # every scan of f = 20 has a closed form or is shorter than 4
+    count_words(CountQuery(frobenius=20), threads=2)
     assert opened == [2, 2]
     assert enumeration.pool_size(query, 2) == 2
-    assert enumeration.pool_size(CountQuery(frobenius=20, length=3), 2) == 1
+    assert enumeration.pool_size(CountQuery(frobenius=24, length=3), 2) == 1
+    assert enumeration.pool_size(CountQuery(frobenius=20), 2) == 1
     assert enumeration.pool_size(query, 1) == 1
 
 
@@ -186,22 +192,41 @@ def _trimmed(hist: list[int]) -> list[int]:
 
 def test_closed_genus_polynomials_match_walker():
     # every scan of the Frobenius queries, and of the fixed-multiplicity
-    # reference cells (some of them longer than f), up to f = 30
+    # reference cells (some of them longer than f), up to f = 30, and every
+    # depth-4 Frobenius scan up to length 12
     scans = {scan for f in range(1, 31)
              for _, scan in enumeration._plans(CountQuery(frobenius=f))}
     scans |= {scan for f, m in load_table2() if f <= 30
               for _, scan in enumeration._plans(
                   CountQuery(frobenius=f, length=m - 1))}
-    closed = 0
+    scans |= {enumeration._frobenius_scan(length, 4, j)
+              for length in range(1, 13) for j in range(1, length + 1)}
+    closed = depth4 = 0
     for scan in scans:
         profile = enumeration._closed_profile(scan)
         if profile is None:
-            assert max(scan[1]) >= 4
+            assert max(scan[1]) >= 5
             continue
         closed += 1
+        depth4 += profile[0] == 4
         assert _trimmed(enumeration._closed_form(scan[0], *profile)) == \
             _trimmed(enumeration._fold((scan, ())))
     assert closed > 300
+    assert depth4 >= 78
+
+
+def test_depth4_closed_form_matches_brute():
+    # every word over {1..4} of length <= 7, filtered by the definition and
+    # binned by its Frobenius number, which fixes the last 4's position
+    for length in range(1, 8):
+        want = {j: Counter() for j in range(1, length + 1)}
+        for entries in product(range(1, 5), repeat=length):
+            if max(entries) == 4 and is_kunz(entries):
+                inv = invariants(entries)
+                want[inv.frobenius - 3 * inv.multiplicity][inv.genus] += 1
+        for j, hist in want.items():
+            got = enumeration._closed_form(length, 4, j)
+            assert {g: n for g, n in enumerate(got) if n} == hist
 
 
 def test_filtered_scans_keep_the_walker():
