@@ -8,26 +8,31 @@ query that pins the Frobenius number determines, for every candidate length,
 both the depth and the position of the last maximal entry, so each scan only
 ever visits words with the requested invariants.
 
-The depth of a Frobenius-number scan decides how it is answered.  The
-paper's count floor((q+1)^2/4)^(f/(2q-2)) makes depth 2 and depth 3 (about
-2^(f/2) words), then depth 4 (about 6^(f/6)), outgrow every deeper layer,
-but those layers have closed genus polynomials: a scan of length l and depth
-q <= 4 whose last maximum sits at position j is x^l (q = 1, j = l),
+Every unfiltered Frobenius-number scan has a closed genus polynomial
+(:func:`_closed_profile`, :func:`_closed_form`).  A scan of length l and depth
+q whose last maximum sits at position j is x^l (q = 1, j = l),
 x^(l+1)(1+x)^(j-1) (q = 2), S_j(x)(x+x^2)^(l-j) (q = 3), where S_j is the
-genus polynomial of the stressed depth-3 words of length j from the subset
-scan :func:`_stressed3_scan`, or the polynomial of the depth-4 subset scan
-:func:`_depth4_scan` (q = 4).  Such a scan is answered at once
-(:func:`_closed_profile`, :func:`_closed_form`); only the deeper scans, and
-scans that a filter changed, are searched.
+genus polynomial of the stressed depth-3 words of length j; for q >= 3 the
+polynomial comes from a subset scan.  By the paper's lower bound, an entry
+in the upper half of the range never breaks an inequality, so each entry is
+either low or one two-valued big slot, and only low+low sums can fail:
+:func:`_subset_scan` holds that rule for every depth, and
+:func:`_stressed3_scan` (S_j) and :func:`_depth4_scan` are its tuned q = 3
+and q = 4 cases.  The paper's count floor((q+1)^2/4)^(f/(2q-2)) makes depth
+2 and depth 3 (about 2^(f/2) words), then depth 4 (about 6^(f/6)), outgrow
+every deeper layer, which is why those cases are tuned.
 
-One walker, :func:`_walk`, searches every other scan.  It keeps for each
-position the interval of values the defining inequalities allow against the
-prefix chosen so far, and hands each leaf to its caller as a whole value range
-of the final position.  Counts, genus sums and genus histograms all come from
-one fold of those ranges into a genus difference array; enumeration expands
-the ranges into words and never takes a closed form.  For parallel work the
-same walker, stopped at depth 2, splits the long searched scans into (scan,
-prefix) tasks, and every task of a call runs on one worker pool.
+One walker, :func:`_walk`, searches the scans that a filter changed (MED
+strictness, a cap lowered by ``contains``), the length and depth queries,
+and every scan that :func:`enumerate_words` expands into words.  It keeps
+for each position the interval of values the defining inequalities allow
+against the prefix chosen so far, and hands each leaf to its caller as a
+whole value range of the final position.  Counts, genus sums and genus
+histograms all come from one fold of those ranges into a genus difference
+array; enumeration expands the ranges into words and never takes a closed
+form.  For parallel work the same walker, stopped at depth 2, splits the
+long searched scans into (scan, prefix) tasks, and every task of a call runs
+on one worker pool.
 :func:`_walked_histogram` folds every scan through the walker alone: it is
 the oracle the closed forms are checked against.
 
@@ -42,7 +47,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, product
 from math import comb, isqrt
 from multiprocessing import Pool
@@ -256,13 +261,13 @@ def _walked_histogram(query: CountQuery) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# closed genus polynomials for depth <= 4
+# closed genus polynomials of the Frobenius-number scans
 # ---------------------------------------------------------------------------
 
 
 def _closed_profile(scan: Scan) -> tuple[int, int] | None:
-    """``(q, j)`` when the scan is ``_frobenius_scan(length, q, j)`` with
-    q <= 4, so that :func:`_closed_form` answers it; otherwise ``None``.
+    """``(q, j)`` when the scan is ``_frobenius_scan(length, q, j)``, so that
+    :func:`_closed_form` answers it; otherwise ``None``.
 
     A filter that changes the scan (MED strictness, a cap lowered by
     ``contains``) makes it differ, and the walker answers it instead.
@@ -270,7 +275,7 @@ def _closed_profile(scan: Scan) -> tuple[int, int] | None:
     length, caps = scan[0], scan[1]
     q = caps[0]
     j = caps.count(q)
-    if 1 <= q <= 4 and scan == _frobenius_scan(length, q, j):
+    if q >= 1 and scan == _frobenius_scan(length, q, j):
         return q, j
     return None
 
@@ -287,8 +292,11 @@ def _closed_form(length: int, q: int, j: int) -> list[int]:
     * q = 3: the head up to position j is a stressed depth-3 word and the
       tail is free over {1,2}, so S_j(x) (x+x^2)^(length-j).
 
-    For q = 4 the whole polynomial comes from :func:`_depth4_scan`.
+    For q = 4 the whole polynomial comes from :func:`_depth4_scan`, and for
+    q >= 5 from :func:`_subset_scan`.
     """
+    if q >= 5:
+        return list(_subset_scan(length, q, j))
     if q == 4:
         return list(_depth4_scan(length, j))
     if q == 1:
@@ -372,9 +380,10 @@ def _histogram(query: CountQuery, threads: int) -> dict[int, int]:
 def genus_histogram(query: CountQuery, threads: int = 1) -> dict[int, int]:
     """Exact histogram ``genus -> number of matching words``.
 
-    Scans of depth at most 4 come from closed genus polynomials.  With
-    ``threads > 1`` the walked scans of length 4 or more run on one pool of
-    :func:`pool_size` worker processes; the result does not depend on it.
+    Unfiltered Frobenius-number scans come from closed genus polynomials.
+    With ``threads > 1`` the walked scans of length 4 or more run on one
+    pool of :func:`pool_size` worker processes; the result does not depend
+    on it.
     """
     return _histogram(query, threads)
 
@@ -416,7 +425,7 @@ def enumerate_words(query: CountQuery):
         yield KunzWord(w)
 
 # ---------------------------------------------------------------------------
-# subset scans: stressed depth-3 words and depth-4 Frobenius scans
+# subset scans: the Frobenius-number scans of depth 3 and more
 # ---------------------------------------------------------------------------
 
 
@@ -443,6 +452,10 @@ def _stressed3_scan(length: int) -> tuple[int, ...]:
     contributes x^(|S| + 2*forced + 3) (x^2 + x^3)^free.  Both exponents
     depend only on |S| and on u = |S u (S+S)| below the final position, so
     leaves are binned by (u, |S|) and each bin is expanded once.
+
+    This is the rule set of :func:`_subset_scan` for q = 3 and j = length,
+    tuned: the only low value is 1, and the big slot {2,3} is forced to 2
+    exactly on S+S.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
@@ -499,6 +512,10 @@ def _depth4_scan(length: int, j: int) -> tuple[int, ...]:
     only once it is done.  A leaf contributes x^shift (1+x)^free, shift
     counting every entry at its least value and free the positions free
     over two values; leaves are binned by (shift, free).
+
+    This is the rule set of :func:`_subset_scan` for q = 4, tuned: the low
+    values are 1 and 2 before j and 1 after, and the only sums below 4 are
+    the ones above.
     """
     before = (1 << j) - 2  # bits 1 .. j-1
     after = (1 << (length + 1)) - (1 << (j + 1))  # bits j+1 .. length
@@ -535,6 +552,89 @@ def _depth4_scan(length: int, j: int) -> tuple[int, ...]:
                       wrapped, shift + 2))
         if not sums & bit:
             stack.append((p + 1, ones, twos, sums, mixed, wrapped, shift + 3))
+    return _expand(bins)
+
+
+def _subset_scan(length: int, q: int, j: int) -> tuple[int, ...]:
+    """Genus polynomial of ``_frobenius_scan(length, q, j)``, by genus; q >= 3.
+
+    The maximum q is pinned at position j; the caps are q before j and q-1
+    after.  Call an entry *low* if it lies in 1..q-2 before j or in 1..q-3
+    after j; the other values form one *big* slot, {q-1, q} before j and
+    {b, q-1} after j with b = max(q-2, 1).  Every inequality with a big
+    entry or the q at j among its summands holds: a big entry before j, and
+    the q at j, are at least q-1, and adding at least 1 reaches q; a big
+    entry after j is at least q-2 and its sums land after j, where the cap
+    is q-1; a wrapped sum adds 1 more.  So only low+low sums can fail, onto
+    a+b directly or onto a+b-length-1 wrapped with +1.  Let m(t) be the
+    least such sum onto position t (wrapped ones counted with their +1):
+
+    * a low entry at t may not exceed m(t);
+    * a big slot at t is barred when m(t) is below its least value (q-1
+      before j, b after), forced to that value when m(t) equals it, and
+      free over its two values otherwise;
+    * j itself needs m(j) >= q.
+
+    This is the paper's lower-bound box read the other way: entries in the
+    upper half of the range never break an inequality.  The scan fixes, one
+    position at a time, a low value or the big slot, and checks each rule as
+    soon as both its sum and its entry are known: a direct sum lands above
+    its summands, so it is known when the scan reaches its target, and a
+    wrapped sum lands below them, so it is checked against the entry already
+    there.  Whether a big slot is forced is settled at the leaf, once every
+    wrapped sum is known.  A leaf contributes x^shift (1+x)^free, shift
+    counting every entry at its least value and free the big slots left
+    free; leaves are binned by (shift, free).
+
+    :func:`_stressed3_scan` (q = 3, the head up to j) and
+    :func:`_depth4_scan` (q = 4) are tuned special cases of these rules.
+
+    Sums are kept by level in one integer: field s, ``width`` bits wide,
+    holds at bit t the positions t that receive a low+low sum of exactly s;
+    levels of q and above never fail and are dropped.  ``values`` holds at
+    field v the positions of the low entries equal to v, so shifting it by a
+    new position p and its value v gives every sum with p at once; its bits
+    above length+1 are the wrapped sums, moved one level up.  ``need`` holds
+    at field s the positions that a sum of level s would break: the placed
+    ones, and j from the start, so a prefix that breaks j dies at once.
+    """
+    width = 2 * length + 1  # room for a direct sum of two positions
+    low_bits = sum(((1 << (length + 1)) - 2) << (s * width) for s in range(q))
+    wrap_bits = sum(((1 << (2 * length + 1)) - (1 << (length + 2)))
+                    << (s * width) for s in range(q - 1))
+    # below[p][r]: bit p in the fields of the levels below r
+    below = [[sum(1 << (s * width + p) for s in range(r)) for r in range(q + 1)]
+             for p in range(length + 1)]
+    before = (1 << j) - 2  # bits 1 .. j-1
+    after = (1 << (length + 1)) - (1 << (j + 1))  # bits j+1 .. length
+    big_before, big_after = q - 1, max(q - 2, 1)
+    bins: dict[tuple[int, int], int] = {}
+    # stack entries: (next position, values, sums, need, big slots, shift)
+    stack = [(1, 0, 0, below[j][q], 0, 0)]
+    while stack:
+        p, values, sums, need, bigs, shift = stack.pop()
+        if p > length:
+            forced = ((sums >> (big_before * width)) & bigs & before
+                      | (sums >> (big_after * width)) & bigs & after)
+            key = shift, bigs.bit_count() - forced.bit_count()
+            bins[key] = bins.get(key, 0) + 1
+            continue
+        if p == j:
+            stack.append((p + 1, values, sums, need, bigs, shift + q))
+            continue
+        least, top = (big_before, q - 2) if p < j else (big_after, q - 3)
+        if not sums & below[p][least]:
+            stack.append((p + 1, values, sums, need | below[p][least],
+                          bigs | (1 << p), shift + least))
+        for v in range(1, top + 1):
+            if sums & below[p][v]:
+                break  # a larger low value is barred too
+            new_values = values | (1 << (v * width + p))
+            new = new_values << (p + v * width)
+            new = new & low_bits | (new & wrap_bits) << length
+            if not new & need:
+                stack.append((p + 1, new_values, sums | new,
+                              need | below[p][v], bigs, shift + v))
     return _expand(bins)
 
 
@@ -682,12 +782,8 @@ def lower_bound_family(depth: int, length: int, j: int):
     size = 1
     for interval in intervals:
         size *= len(interval)
-
-    def stream():
-        for combo in product(*intervals):
-            yield KunzWord(combo)
-
-    return stream(), size
+    # every entry lies in 1..q, so the words skip KunzWord's entry check
+    return map(partial(tuple.__new__, KunzWord), product(*intervals)), size
 
 
 # ---------------------------------------------------------------------------

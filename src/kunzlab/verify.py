@@ -126,20 +126,21 @@ def check_constant_brackets() -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# 4: closed forms for depth 2, 3 and 4
+# 4: closed forms for depth 2 to 6
 # ---------------------------------------------------------------------------
 
 
 def check_small_depth_closed_forms() -> CheckResult:
     """closed_k2/closed_k3 and the engine's closed genus polynomials of depth
-    2, 3 and 4 agree with the walker on every cell."""
+    2 to 6 (the depth-5 and depth-6 ones from the general subset scan) agree
+    with the walker on every cell with f <= 30."""
 
     def body():
         cells = 0
         for f in range(1, 31):
             for ell in range(1, f + 1):
                 for q, closed in ((2, eng.closed_k2), (3, eng.closed_k3),
-                                  (4, None)):
+                                  (4, None), (5, None), (6, None)):
                     query = CountQuery(frobenius=f, length=ell, depth_exact=q)
                     walked = eng._walked_histogram(query)
                     if closed and closed(f, ell) != sum(walked.values()):
@@ -149,7 +150,7 @@ def check_small_depth_closed_forms() -> CheckResult:
                         return False, (f"depth-{q} genus polynomial differs "
                                        f"at {(f, ell)}")
                 cells += 1
-        return True, ("both closed forms and the engine's depth 2-4 genus "
+        return True, ("both closed forms and the engine's depth 2-6 genus "
                       f"polynomials match the walker on {cells} cells")
 
     return _run("closed-forms", body)

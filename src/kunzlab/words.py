@@ -120,7 +120,8 @@ class KunzWord(tuple):
 
 
 def invariants(word: Sequence[int]) -> SemigroupInvariants:
-    word = KunzWord(word)
+    if not isinstance(word, KunzWord):
+        word = KunzWord(word)
     return SemigroupInvariants(
         multiplicity=word.multiplicity,
         genus=word.genus,

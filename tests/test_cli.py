@@ -224,7 +224,9 @@ def test_verify_tables_suite(capsys):
 
 
 def test_determinism_across_threads(capsys):
+    # count --f 24 --med is walked on a pool at 4 and 16 workers
     for argv in (("count", "--f", "20"), ("count", "--f", "24"),
+                 ("count", "--f", "24", "--med"),
                  ("dist", "genus", "--f", "20")):
         outputs = set()
         for threads in ("1", "4", "16"):
@@ -257,8 +259,13 @@ def test_workers_reports_processes_started(capsys):
     code, _, err = run(capsys, "count", "--f", "20", "--threads", "2")
     assert code == 0
     assert err.rstrip().endswith(" workers=1")
-    # f = 24 walks a depth-5 scan of length 4
+    # and so does every scan of f = 24, down to depth 5 and beyond
     code, _, err = run(capsys, "count", "--f", "24", "--threads", "2")
+    assert code == 0
+    assert err.rstrip().endswith(" workers=1")
+    # MED strictness keeps f = 24 on the walker, with scans of length 4+
+    code, _, err = run(capsys, "count", "--f", "24", "--med",
+                       "--threads", "2")
     assert code == 0
     assert err.rstrip().endswith(" workers=2")
 

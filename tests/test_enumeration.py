@@ -123,7 +123,9 @@ def test_count_and_genus_consistency():
 @pytest.mark.parametrize("threads", [2, 5])
 def test_threaded_counts_agree(threads):
     # the depth_exact query is signed: its scans are subtracted
+    # f = 24 is answered in closed form; its MED scans are walked on a pool
     for q in (CountQuery(frobenius=16), CountQuery(frobenius=24),
+              CountQuery(frobenius=24, med=True),
               CountQuery(length=7, depth_max=3),
               CountQuery(length=7, depth_exact=3)):
         assert count_words(q, threads=threads) == count_words(q)
@@ -140,21 +142,28 @@ def test_one_pool_per_call(monkeypatch):
         return real_pool(*args, **kwargs)
 
     monkeypatch.setattr("kunzlab.enumeration.Pool", counting_pool)
-    # f = 24 has a walked depth-5 scan of length 4
-    query = CountQuery(frobenius=24)
+    # MED strictness keeps the scans of f = 24 on the walker, several of
+    # them of length 4 or more: one pool for all of them
+    query = CountQuery(frobenius=24, med=True)
     count_words(query, threads=2)
     assert opened == [2]
     genus_histogram(query, threads=2)
-    assert opened == [2, 2]
-    # every scan shorter than 4 runs serially
+    enumeration.count_by_length(query, threads=2)
+    assert opened == [2, 2, 2]
+    # a scan shorter than 4 runs serially
+    short = CountQuery(frobenius=23, length=3, med=True)
+    count_words(short, threads=2)
     count_words(CountQuery(frobenius=24, length=3), threads=2)
-    assert opened == [2, 2]
-    # every scan of f = 20 has a closed form or is shorter than 4
+    assert opened == [2, 2, 2]
+    # every unfiltered scan of f = 20 and f = 24 has a closed form
     count_words(CountQuery(frobenius=20), threads=2)
-    assert opened == [2, 2]
+    count_words(CountQuery(frobenius=24), threads=2)
+    assert opened == [2, 2, 2]
     assert enumeration.pool_size(query, 2) == 2
+    assert enumeration.pool_size(short, 2) == 1
     assert enumeration.pool_size(CountQuery(frobenius=24, length=3), 2) == 1
     assert enumeration.pool_size(CountQuery(frobenius=20), 2) == 1
+    assert enumeration.pool_size(CountQuery(frobenius=24), 2) == 1
     assert enumeration.pool_size(query, 1) == 1
 
 
@@ -192,8 +201,9 @@ def _trimmed(hist: list[int]) -> list[int]:
 
 def test_closed_genus_polynomials_match_walker():
     # every scan of the Frobenius queries, and of the fixed-multiplicity
-    # reference cells (some of them longer than f), up to f = 30, and every
-    # depth-4 Frobenius scan up to length 12
+    # reference cells (some of them longer than f), up to f = 30, every
+    # depth-4 Frobenius scan up to length 12, and every depth-5 and depth-6
+    # one up to length 11
     scans = {scan for f in range(1, 31)
              for _, scan in enumeration._plans(CountQuery(frobenius=f))}
     scans |= {scan for f, m in load_table2() if f <= 30
@@ -201,32 +211,54 @@ def test_closed_genus_polynomials_match_walker():
                   CountQuery(frobenius=f, length=m - 1))}
     scans |= {enumeration._frobenius_scan(length, 4, j)
               for length in range(1, 13) for j in range(1, length + 1)}
-    closed = depth4 = 0
+    scans |= {enumeration._frobenius_scan(length, q, j) for q in (5, 6)
+              for length in range(1, 12) for j in range(1, length + 1)}
+    closed = depth4 = deep = 0
     for scan in scans:
         profile = enumeration._closed_profile(scan)
-        if profile is None:
-            assert max(scan[1]) >= 5
-            continue
+        assert profile is not None  # no unfiltered Frobenius scan is walked
         closed += 1
         depth4 += profile[0] == 4
+        deep += profile[0] >= 5
         assert _trimmed(enumeration._closed_form(scan[0], *profile)) == \
             _trimmed(enumeration._fold((scan, ())))
     assert closed > 300
     assert depth4 >= 78
+    assert deep >= 132
+
+
+def _brute_closed_forms(q: int, max_length: int) -> None:
+    # every word over {1..q} up to the given length, filtered by the
+    # definition and binned by its Frobenius number, which fixes the last
+    # q's position
+    for length in range(1, max_length + 1):
+        want = {j: Counter() for j in range(1, length + 1)}
+        for entries in product(range(1, q + 1), repeat=length):
+            if max(entries) == q and is_kunz(entries):
+                inv = invariants(entries)
+                j = inv.frobenius - (q - 1) * inv.multiplicity
+                want[j][inv.genus] += 1
+        for j, hist in want.items():
+            got = enumeration._closed_form(length, q, j)
+            assert {g: n for g, n in enumerate(got) if n} == hist
 
 
 def test_depth4_closed_form_matches_brute():
-    # every word over {1..4} of length <= 7, filtered by the definition and
-    # binned by its Frobenius number, which fixes the last 4's position
-    for length in range(1, 8):
-        want = {j: Counter() for j in range(1, length + 1)}
-        for entries in product(range(1, 5), repeat=length):
-            if max(entries) == 4 and is_kunz(entries):
-                inv = invariants(entries)
-                want[inv.frobenius - 3 * inv.multiplicity][inv.genus] += 1
-        for j, hist in want.items():
-            got = enumeration._closed_form(length, 4, j)
-            assert {g: n for g, n in enumerate(got) if n} == hist
+    _brute_closed_forms(4, 7)
+
+
+def test_depth5_closed_form_matches_brute():
+    _brute_closed_forms(5, 6)
+
+
+def test_subset_scan_matches_tuned_cases():
+    # the one rule set, run at q = 3 and q = 4, against its tuned cases
+    for length in range(1, 11):
+        for j in range(1, length + 1):
+            assert _trimmed(list(enumeration._subset_scan(length, 3, j))) == \
+                _trimmed(enumeration._closed_form(length, 3, j))
+            assert enumeration._subset_scan(length, 4, j) == \
+                enumeration._depth4_scan(length, j)
 
 
 def test_filtered_scans_keep_the_walker():
