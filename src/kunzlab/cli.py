@@ -374,7 +374,8 @@ def main(argv=None) -> int:
     except _Usage as exc:
         print(f"kunzlab: {exc}", file=err)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
+        # an overflow comes from a flag too large to compute with
         print(f"kunzlab: {exc}", file=err)
         return 2
     except ArithmeticError as exc:

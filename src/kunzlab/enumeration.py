@@ -16,11 +16,11 @@ genus polynomial of the stressed depth-3 words of length j; for q >= 3 the
 polynomial comes from a subset scan.  By the paper's lower bound, an entry
 in the upper half of the range never breaks an inequality, so each entry is
 either low or one two-valued big slot, and only low+low sums can fail:
-:func:`_subset_scan` holds that rule for every depth, and
-:func:`_stressed3_scan` (S_j) and :func:`_depth4_scan` are its tuned q = 3
-and q = 4 cases.  The paper's count floor((q+1)^2/4)^(f/(2q-2)) makes depth
-2 and depth 3 (about 2^(f/2) words), then depth 4 (about 6^(f/6)), outgrow
-every deeper layer, which is why those cases are tuned.
+:func:`_subset_scan` holds that rule for every depth and answers every
+q >= 4, and :func:`_stressed3_scan` (S_j) is its tuned q = 3 case.  The
+paper's count floor((q+1)^2/4)^(f/(2q-2)) makes depth 2 and depth 3 (about
+2^(f/2) words) outgrow every deeper layer, and S_j is the paper's stressed
+table, which is why that case is tuned.
 
 One walker, :func:`_walk`, searches the scans that a filter changed (MED
 strictness, a cap lowered by ``contains``), the length and depth queries,
@@ -292,13 +292,10 @@ def _closed_form(length: int, q: int, j: int) -> list[int]:
     * q = 3: the head up to position j is a stressed depth-3 word and the
       tail is free over {1,2}, so S_j(x) (x+x^2)^(length-j).
 
-    For q = 4 the whole polynomial comes from :func:`_depth4_scan`, and for
-    q >= 5 from :func:`_subset_scan`.
+    For q >= 4 the whole polynomial comes from :func:`_subset_scan`.
     """
-    if q >= 5:
+    if q >= 4:
         return list(_subset_scan(length, q, j))
-    if q == 4:
-        return list(_depth4_scan(length, j))
     if q == 1:
         bins = {(length, 0): 1} if j == length else {}
     elif q == 2:
@@ -425,7 +422,8 @@ def enumerate_words(query: CountQuery):
         yield KunzWord(w)
 
 # ---------------------------------------------------------------------------
-# subset scans: the Frobenius-number scans of depth 3 and more
+# subset scans: the stressed depth-3 table, and every Frobenius-number scan
+# of depth 4 and more
 # ---------------------------------------------------------------------------
 
 
@@ -455,7 +453,7 @@ def _stressed3_scan(length: int) -> tuple[int, ...]:
 
     This is the rule set of :func:`_subset_scan` for q = 3 and j = length,
     tuned: the only low value is 1, and the big slot {2,3} is forced to 2
-    exactly on S+S.
+    exactly on S+S.  Every deeper scan runs in :func:`_subset_scan` itself.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
@@ -485,74 +483,6 @@ def _stressed3_scan(length: int) -> tuple[int, ...]:
             # ones, forced twos, the final 3, and the free positions' 2s
             shifted[size + 2 * (ubits - size) + 3 + 2 * free, free] = n
     return _expand(shifted)
-
-
-@lru_cache(maxsize=None)
-def _depth4_scan(length: int, j: int) -> tuple[int, ...]:
-    """Genus polynomial of ``_frobenius_scan(length, 4, j)``, by genus.
-
-    The maximum 4 is pinned at position j; the caps are 4 before j and 3
-    after.  With entries of at least 1, the only inequalities that can fail
-    are 1+1 onto a 3 or a 4, 1+2 onto a 4, and the wrapped 1+1+1 onto a 4.
-    So validity depends only on the set A of positions holding a 1 and the
-    set B of positions before j holding a 2 (a 2 after j is never added to
-    anything that can hold a 4).  The scan fixes, position by position,
-    whether it holds a 1, a 2 (before j only) or something larger:
-
-    * before j a larger entry may not lie on A+A; it is forced to 3 on
-      (A+B) u wrap(A+A) and is free over {3,4} elsewhere;
-    * j itself must avoid A+A, A+B and wrap(A+A);
-    * after j an entry other than 1 is forced to 2 on A+A and is free over
-      {2,3} elsewhere.
-
-    Here A+A and A+B are the sums (repeats allowed) up to the length, and
-    wrap(A+A) the positions a+b-length-1 for a+b above length+1.  A sum
-    only lands above its summands and a wrapped sum only below them, so the
-    first two sets are known when the scan reaches a position and wrap(A+A)
-    only once it is done.  A leaf contributes x^shift (1+x)^free, shift
-    counting every entry at its least value and free the positions free
-    over two values; leaves are binned by (shift, free).
-
-    This is the rule set of :func:`_subset_scan` for q = 4, tuned: the low
-    values are 1 and 2 before j and 1 after, and the only sums below 4 are
-    the ones above.
-    """
-    before = (1 << j) - 2  # bits 1 .. j-1
-    after = (1 << (length + 1)) - (1 << (j + 1))  # bits j+1 .. length
-    jbit = 1 << j
-    bins: dict[tuple[int, int], int] = {}
-    # stack entries: (next position, A, B, A+A, A+B, wrap(A+A), shift) with
-    # position i at bit i; the masks above only read bits 1 .. length
-    stack = [(1, 0, 0, 0, 0, 0, 0)]
-    while stack:
-        p, ones, twos, sums, mixed, wrapped, shift = stack.pop()
-        if p > length:
-            big = before & ~(ones | twos)
-            rest = after & ~ones
-            key = shift, ((big & ~(mixed | wrapped)).bit_count()
-                          + (rest & ~sums).bit_count())
-            bins[key] = bins.get(key, 0) + 1
-            continue
-        bit = 1 << p
-        if p == j:
-            if not (sums | mixed) & bit:
-                stack.append((p + 1, ones, twos, sums, mixed, wrapped,
-                              shift + 4))
-            continue
-        new_ones = ones | bit
-        new_sums = new_ones << p
-        new_wrapped = wrapped | (new_sums >> (length + 1))
-        if not new_wrapped & jbit:
-            stack.append((p + 1, new_ones, twos, sums | new_sums,
-                          mixed | (twos << p), new_wrapped, shift + 1))
-        if p > j:
-            stack.append((p + 1, ones, twos, sums, mixed, wrapped, shift + 2))
-            continue
-        stack.append((p + 1, ones, twos | bit, sums, mixed | (ones << p),
-                      wrapped, shift + 2))
-        if not sums & bit:
-            stack.append((p + 1, ones, twos, sums, mixed, wrapped, shift + 3))
-    return _expand(bins)
 
 
 def _subset_scan(length: int, q: int, j: int) -> tuple[int, ...]:
@@ -586,8 +516,8 @@ def _subset_scan(length: int, q: int, j: int) -> tuple[int, ...]:
     counting every entry at its least value and free the big slots left
     free; leaves are binned by (shift, free).
 
-    :func:`_stressed3_scan` (q = 3, the head up to j) and
-    :func:`_depth4_scan` (q = 4) are tuned special cases of these rules.
+    :func:`_stressed3_scan` (q = 3, the head up to j) is the tuned special
+    case of these rules; every depth q >= 4 runs here.
 
     Sums are kept by level in one integer: field s, ``width`` bits wide,
     holds at bit t the positions t that receive a low+low sum of exactly s;
@@ -597,44 +527,78 @@ def _subset_scan(length: int, q: int, j: int) -> tuple[int, ...]:
     above length+1 are the wrapped sums, moved one level up.  ``need`` holds
     at field s the positions that a sum of level s would break: the placed
     ones, and j from the start, so a prefix that breaks j dies at once.
+
+    The masks and shifts of each position are built once, in ``table``: for
+    p other than j, its big slot's bar mask, bit and least value, the next
+    position, and its low values as (bar mask, ``values`` bit, sums shift,
+    value).  Position j is no node: the position before it steps straight to
+    j+1, with j's q added to its stored values, and with j = 1 the scan
+    starts at 2 with q in its shift.  Children past the last position are
+    binned at once, not pushed.
     """
     width = 2 * length + 1  # room for a direct sum of two positions
     low_bits = sum(((1 << (length + 1)) - 2) << (s * width) for s in range(q))
     wrap_bits = sum(((1 << (2 * length + 1)) - (1 << (length + 2)))
                     << (s * width) for s in range(q - 1))
-    # below[p][r]: bit p in the fields of the levels below r
-    below = [[sum(1 << (s * width + p) for s in range(r)) for r in range(q + 1)]
-             for p in range(length + 1)]
     before = (1 << j) - 2  # bits 1 .. j-1
     after = (1 << (length + 1)) - (1 << (j + 1))  # bits j+1 .. length
     big_before, big_after = q - 1, max(q - 2, 1)
+    force_before, force_after = big_before * width, big_after * width
+
+    def below(p: int, r: int) -> int:
+        """Bit p in the fields of the levels below r."""
+        return sum(1 << (s * width + p) for s in range(r))
+
+    table: list = [None] * (length + 1)
+    for p in range(1, length + 1):
+        if p != j:
+            least, top = (big_before, q - 2) if p < j else (big_after, q - 3)
+            skip = q if p + 1 == j else 0
+            table[p] = (below(p, least), 1 << p, least + skip,
+                        p + 2 if skip else p + 1,
+                        [(below(p, v), 1 << (v * width + p), p + v * width,
+                          v + skip) for v in range(1, top + 1)])
+    start = 2 if j == 1 else 1
+    if start > length:
+        return _expand({(q, 0): 1})  # the word (q)
     bins: dict[tuple[int, int], int] = {}
     # stack entries: (next position, values, sums, need, big slots, shift)
-    stack = [(1, 0, 0, below[j][q], 0, 0)]
+    stack = [(start, 0, 0, below(j, q), 0, q if j == 1 else 0)]
     while stack:
         p, values, sums, need, bigs, shift = stack.pop()
-        if p > length:
-            forced = ((sums >> (big_before * width)) & bigs & before
-                      | (sums >> (big_after * width)) & bigs & after)
-            key = shift, bigs.bit_count() - forced.bit_count()
+        bar, bit, least, nxt, lows = table[p]
+        if nxt <= length:
+            if not sums & bar:
+                stack.append((nxt, values, sums, need | bar, bigs | bit,
+                              shift + least))
+            for low_bar, low_bit, low_shift, v in lows:
+                if sums & low_bar:
+                    break  # a larger low value is barred too
+                new_values = values | low_bit
+                new = new_values << low_shift
+                new = new & low_bits | (new & wrap_bits) << length
+                if not new & need:
+                    stack.append((nxt, new_values, sums | new,
+                                  need | low_bar, bigs, shift + v))
+            continue
+        # the last position: every wrapped sum is known once it is set
+        if not sums & bar:
+            slots = bigs | bit
+            forced = ((sums >> force_before) & slots & before
+                      | (sums >> force_after) & slots & after)
+            key = shift + least, slots.bit_count() - forced.bit_count()
             bins[key] = bins.get(key, 0) + 1
-            continue
-        if p == j:
-            stack.append((p + 1, values, sums, need, bigs, shift + q))
-            continue
-        least, top = (big_before, q - 2) if p < j else (big_after, q - 3)
-        if not sums & below[p][least]:
-            stack.append((p + 1, values, sums, need | below[p][least],
-                          bigs | (1 << p), shift + least))
-        for v in range(1, top + 1):
-            if sums & below[p][v]:
-                break  # a larger low value is barred too
-            new_values = values | (1 << (v * width + p))
-            new = new_values << (p + v * width)
+        for low_bar, low_bit, low_shift, v in lows:
+            if sums & low_bar:
+                break
+            new = (values | low_bit) << low_shift
             new = new & low_bits | (new & wrap_bits) << length
             if not new & need:
-                stack.append((p + 1, new_values, sums | new,
-                              need | below[p][v], bigs, shift + v))
+                new |= sums
+                forced = ((new >> force_before) & bigs & before
+                          | (new >> force_after) & bigs & after)
+                key = shift + v, bigs.bit_count() - forced.bit_count()
+                bins[key] = bins.get(key, 0) + 1
     return _expand(bins)
 
 

@@ -307,3 +307,19 @@ class TestExitCodes:
         code, _, _ = run(capsys, "--ref-data", "/nonexistent-dir",
                          "table", "stressed3")
         assert code == 2
+
+    def test_ref_data_missing_column(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("KUNZLAB_REF_DATA", raising=False)
+        for name in ("table1.csv", "table2.csv"):
+            (tmp_path / name).write_text("a,b\n1,2\n", encoding="utf-8")
+        for argv in (("table", "stressed3"), ("constants", "--which", "c0"),
+                     ("plot", "fm-scatter")):
+            code, _, err = run(capsys, "--ref-data", str(tmp_path), *argv)
+            assert code == 2
+            assert "missing column" in err
+
+    def test_overflow_is_a_usage_error(self, capsys):
+        code, _, err = run(capsys, "plot", "growth", "--x-max", "1e200",
+                           "--step", "1e199")
+        assert code == 2
+        assert "verification failure" not in err

@@ -252,13 +252,12 @@ def test_depth5_closed_form_matches_brute():
 
 
 def test_subset_scan_matches_tuned_cases():
-    # the one rule set, run at q = 3 and q = 4, against its tuned cases
+    # the one rule set, run at q = 3, against its tuned case (depth 4 and up
+    # have no other scan: the _fold sweep and the brute force cover them)
     for length in range(1, 11):
         for j in range(1, length + 1):
             assert _trimmed(list(enumeration._subset_scan(length, 3, j))) == \
                 _trimmed(enumeration._closed_form(length, 3, j))
-            assert enumeration._subset_scan(length, 4, j) == \
-                enumeration._depth4_scan(length, j)
 
 
 def test_filtered_scans_keep_the_walker():

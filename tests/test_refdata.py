@@ -72,3 +72,21 @@ def test_missing_override_file_raises(tmp_path, monkeypatch):
     monkeypatch.delenv(ENV_VAR, raising=False)
     with pytest.raises(OSError):
         load_table1(str(tmp_path / "nowhere"))
+
+
+def test_malformed_table_raises_value_error(tmp_path, monkeypatch):
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    (tmp_path / "table1.csv").write_text("a,b\n1,2\n", encoding="utf-8")
+    (tmp_path / "table2.csv").write_text("f,count\n3,99\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"table1\.csv.*ell, count"):
+        load_table1(str(tmp_path))
+    with pytest.raises(ValueError, match=r"table2\.csv.*column\(s\) m$"):
+        load_table2(str(tmp_path))
+    (tmp_path / "table2.csv").write_text("f,m,count\n3,2,99\n4,2\n",
+                                         encoding="utf-8")
+    with pytest.raises(ValueError, match=r"table2\.csv: line 3 lacks"):
+        load_table2(str(tmp_path))
+    # the environment variable goes through the same check
+    monkeypatch.setenv(ENV_VAR, str(tmp_path))
+    with pytest.raises(ValueError, match="table1.csv"):
+        load_table1()
