@@ -104,7 +104,18 @@ def _estimated_bits(factors) -> int:
     return sum(exp * base.bit_length() for base, exp in factors)
 
 
-def _strictly_greater(left, right, force_exact: bool = False) -> bool:
+def _exact_greater(left, right) -> bool:
+    """Whether prod(b^e for left) > prod(b^e for right), in exact integers."""
+    lv = 1
+    for base, exp in left:
+        lv *= base ** exp
+    rv = 1
+    for base, exp in right:
+        rv *= base ** exp
+    return lv > rv
+
+
+def _strictly_greater(left, right) -> bool:
     """Whether prod(b^e for left) > prod(b^e for right), decided rigorously.
 
     ``left`` and ``right`` are sequences of (base, exponent) pairs with
@@ -115,15 +126,8 @@ def _strictly_greater(left, right, force_exact: bool = False) -> bool:
     """
     left = list(left)
     right = list(right)
-    small = max(_estimated_bits(left), _estimated_bits(right)) <= 30_000
-    if force_exact or small:
-        lv = 1
-        for base, exp in left:
-            lv *= base ** exp
-        rv = 1
-        for base, exp in right:
-            rv *= base ** exp
-        return lv > rv
+    if max(_estimated_bits(left), _estimated_bits(right)) <= 30_000:
+        return _exact_greater(left, right)
     for prec in (64, 128, 256, 512, 1024):
         llo, lel, lhi, leh = _iproduct(left, prec)
         rlo, rel, rhi, reh = _iproduct(right, prec)
@@ -131,7 +135,7 @@ def _strictly_greater(left, right, force_exact: bool = False) -> bool:
             return True
         if _dyadic_gt(rlo, rel, lhi, leh):
             return False
-    return _strictly_greater(left, right, force_exact=True)
+    return _exact_greater(left, right)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,10 @@ class _Usage(Exception):
     """A bad flag combination, reported on stderr with exit code 2."""
 
 
+# the most rows `plot growth` prints; more are refused before any output
+_GROWTH_ROWS_MAX = 100_000
+
+
 def _add_query_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--f", type=int, help="Frobenius number")
     parser.add_argument("--m", type=int, help="multiplicity (word length + 1)")
@@ -310,14 +314,20 @@ def _cmd_plot(args, out, ref_dir) -> int:
     if args.which == "growth":
         if args.x_max < 1.0 or args.step <= 0.0:
             raise _Usage("--x-max must be >= 1 and --step positive")
-        print("x,y", file=out)
-        k = 0
-        while True:
+        # the rows are x = 1 + k*step for k = 0, 1, ... until x > x_max + 1e-9;
+        # x grows with k, so count down from a guess at or above the rows
+        limit = args.x_max + 1e-9
+        guess = (limit - 1.0) / args.step
+        if not guess < _GROWTH_ROWS_MAX:  # also an overflow to inf, or nan
+            raise _Usage(f"plot growth prints at most {_GROWTH_ROWS_MAX} rows")
+        rows = int(guess) + 2
+        while 1.0 + (rows - 1) * args.step > limit:
+            rows -= 1
+        lines = ["x,y"]
+        for k in range(rows):
             x = 1.0 + k * args.step
-            if x > args.x_max + 1e-9:
-                break
-            print(f"{x:.4f},{bounds_mod.growth_rate(x):.6f}", file=out)
-            k += 1
+            lines.append(f"{x:.4f},{bounds_mod.growth_rate(x):.6f}")
+        print("\n".join(lines), file=out)
         return 0
     if args.which == "table1-ratio":
         rows = refdata.load_table1(ref_dir)

@@ -2,29 +2,29 @@
 
 The generic entry points (:func:`count_words`, :func:`count_and_genus`,
 :func:`genus_histogram`, :func:`enumerate_words`) take a
-:class:`~kunzlab.words.CountQuery` and expand it into a few signed scans, one
-per word length; the query's words are the signed sum of the scans' words.  A
-query that pins the Frobenius number determines, for every candidate length,
-both the depth and the position of the last maximal entry, so each scan only
-ever visits words with the requested invariants.
+:class:`~kunzlab.words.CountQuery` and expand it into disjoint scans whose
+union is the query's word set.  Almost every scan is a cell: the words of one
+length l whose maximum q occurs last at position j, which is the Frobenius
+number (q-1)(l+1) + j.  A query that pins the Frobenius number holds at most
+one cell per length, and a length query with an exact depth q is the union of
+its l cells.  Only a length query with a depth bound is one box scan instead.
 
-Every unfiltered Frobenius-number scan has a closed genus polynomial
-(:func:`_closed_profile`, :func:`_closed_form`).  A scan of length l and depth
-q whose last maximum sits at position j is x^l (q = 1, j = l),
-x^(l+1)(1+x)^(j-1) (q = 2), S_j(x)(x+x^2)^(l-j) (q = 3), where S_j is the
-genus polynomial of the stressed depth-3 words of length j; for q >= 3 the
-polynomial comes from a subset scan.  By the paper's lower bound, an entry
-in the upper half of the range never breaks an inequality, so each entry is
-either low or one two-valued big slot, and only low+low sums can fail:
-:func:`_subset_scan` holds that rule for every depth and answers every
-q >= 4, and :func:`_stressed3_scan` (S_j) is its tuned q = 3 case.  The
+Every unfiltered cell has a closed genus polynomial
+(:func:`_closed_profile`, :func:`_closed_form`): the cell (l, q, j) has x^l
+(q = 1, j = l), x^(l+1)(1+x)^(j-1) (q = 2) and S_j(x)(x+x^2)^(l-j) (q = 3),
+where S_j is the genus polynomial of the stressed depth-3 words of length j;
+for q >= 3 the polynomial comes from a subset scan.  By the paper's lower
+bound, an entry in the upper half of the range never breaks an inequality, so
+each entry is either low or one two-valued big slot, and only low+low sums
+can fail: :func:`_subset_scan` holds that rule for every depth and answers
+every q >= 4, and :func:`_stressed3_scan` (S_j) is its tuned q = 3 case.  The
 paper's count floor((q+1)^2/4)^(f/(2q-2)) makes depth 2 and depth 3 (about
 2^(f/2) words) outgrow every deeper layer, and S_j is the paper's stressed
 table, which is why that case is tuned.
 
-One walker, :func:`_walk`, searches the scans that a filter changed (MED
-strictness, a cap lowered by ``contains``), the length and depth queries,
-and every scan that :func:`enumerate_words` expands into words.  It keeps
+One walker, :func:`_walk`, searches the cells that a filter changed (MED
+strictness, a cap lowered by ``contains``), the depth-bound boxes, and every
+scan that :func:`enumerate_words` expands into words.  It keeps
 for each position the interval of values the defining inequalities allow
 against the prefix chosen so far, and hands each leaf to its caller as a
 whole value range of the final position.  Counts, genus sums and genus
@@ -45,7 +45,6 @@ small depth and are feasible far beyond the generic search.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, product
@@ -81,7 +80,7 @@ Scan = tuple[int, tuple[int, ...], tuple[int, ...], int]
 
 
 # ---------------------------------------------------------------------------
-# plan construction: a query becomes a few signed scans
+# plan construction: a query becomes disjoint cells, or one box
 # ---------------------------------------------------------------------------
 
 
@@ -109,67 +108,52 @@ def _frobenius_scan(length: int, q: int, j: int) -> Scan:
     return length, caps, floors, 0
 
 
-def _plans(query: CountQuery) -> list[tuple[int, Scan]]:
-    """Expand a query into signed scans whose signed sum is its word set."""
+def _plans(query: CountQuery) -> list[Scan]:
+    """Expand a query into disjoint scans whose union is its word set.
+
+    Each plan is a cell ``_frobenius_scan(length, q, j)`` (see
+    :func:`_depth_profile`), except for a length query with a depth bound:
+    one box, caps at the bound and floors at 1, since its q*length cells
+    would each need a subset scan, which loses to the walker when q is much
+    larger than the length.  The depth and stressed filters drop cells;
+    ``contains`` (a lowered cap) and MED (strict inequalities) change them,
+    and a changed cell is walked.
+    """
     if not query.is_finite:
         raise ValueError("query must fix the Frobenius number, or a length "
                          "together with a depth bound")
     if any(n < 0 for n in query.contains):
         return []
-    strict = 1 if query.med else 0
-    plans: list[tuple[int, Scan]] = []
 
-    def add(sign: int, length: int, caps: Sequence[int],
-            floors: Sequence[int]) -> None:
+    def filtered(scan: Scan) -> Scan:
+        length, caps, floors = scan[:3]
         m = length + 1
         caps = list(caps)
         for n in query.contains:
             r = n % m
             if r:
                 caps[r - 1] = min(caps[r - 1], n // m)
-        plans.append((sign, (length, tuple(caps), tuple(floors), strict)))
+        return length, tuple(caps), floors, 1 if query.med else 0
 
-    if query.frobenius is not None:
-        f = query.frobenius
-        if f < 1:
-            return []
-        lengths = [query.length] if query.length is not None else range(1, f + 1)
-        for length in lengths:
+    f, length = query.frobenius, query.length
+    if f is None:
+        assert length is not None
+        if query.depth_max is not None:
             if length < 1:
-                continue
-            profile = _depth_profile(f, length)
-            if profile is None:
-                continue
-            q, j = profile
-            if query.depth_exact is not None and q != query.depth_exact:
-                continue
-            if query.depth_max is not None and q > query.depth_max:
-                continue
-            if query.stressed and j != length:
-                continue
-            add(1, *_frobenius_scan(length, q, j)[:3])
-        return plans
-
-    length = query.length
-    assert length is not None
-    if length < 1:
-        return []
-    if query.depth_exact is not None:
-        q = query.depth_exact
-        if query.stressed:
-            caps = [q] * length
-            floors = [1] * length
-            floors[-1] = q
-            add(1, length, caps, floors)
-        else:
-            # words of maximum exactly q = (maximum <= q) - (maximum <= q-1)
-            for sign, cap in ((1, q), (-1, q - 1)):
-                if cap >= 1:
-                    add(sign, length, [cap] * length, [1] * length)
+                return []
+            box = (query.depth_max,) * length
+            return [filtered((length, box, (1,) * length, 0))]
+        cells = [(length, query.depth_exact, j) for j in range(1, length + 1)]
     else:
-        assert query.depth_max is not None
-        add(1, length, [query.depth_max] * length, [1] * length)
-    return plans
+        cells = []
+        for ell in [length] if length is not None else range(1, f + 1):
+            profile = _depth_profile(f, ell) if ell >= 1 and f >= 1 else None
+            if profile is not None:
+                cells.append((ell, *profile))
+    return [filtered(_frobenius_scan(ell, q, j)) for ell, q, j in cells
+            if (query.depth_exact is None or q == query.depth_exact)
+            and (query.depth_max is None or q <= query.depth_max)
+            and (j == ell or not query.stressed)]
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +241,7 @@ def _walked_histogram(query: CountQuery) -> dict[int, int]:
     No closed form enters: this is the reference that the closed genus
     polynomials of :func:`_closed_form` are tested against.
     """
-    return _signed_sum((sign, _fold((scan, ()))) for sign, scan in _plans(query))
+    return _sum(_fold((scan, ())) for scan in _plans(query))
 
 
 # ---------------------------------------------------------------------------
@@ -321,18 +305,18 @@ def _solve(scan: Scan) -> list[int]:
 
 
 def _tasks(query: CountQuery, threads: int):
-    """Signed ``(scan, prefix)`` tasks for the query: (serial, pooled).
+    """The query's ``(scan, prefix)`` tasks: (serial, pooled).
 
     With more than one thread, every walked scan of length 4 or more is split
     at its depth-2 prefixes for the pool; shorter scans and scans with a
     closed form run whole in the caller.
     """
     serial, pooled = [], []
-    for sign, scan in _plans(query):
+    for scan in _plans(query):
         if threads <= 1 or scan[0] < 4 or _closed_profile(scan):
-            serial.append((sign, (scan, ())))
+            serial.append((scan, ()))
         else:
-            pooled += [(sign, (scan, pre)) for pre in _words(scan, 2)]
+            pooled += [(scan, pre) for pre in _words(scan, 2)]
     return serial, pooled
 
 
@@ -342,31 +326,30 @@ def pool_size(query: CountQuery, threads: int = 1) -> int:
     return min(threads, len(pooled)) if pooled else 1
 
 
-def _parts(query: CountQuery, threads: int) -> list[tuple[int, int, list[int]]]:
-    """``(sign, word length, genus histogram)`` of every task of the query."""
+def _parts(query: CountQuery, threads: int) -> list[tuple[int, list[int]]]:
+    """``(word length, genus histogram)`` of every task of the query."""
     serial, pooled = _tasks(query, threads)
-    parts = [(sign, scan[0], _solve(scan)) for sign, (scan, _) in serial]
+    parts = [(scan[0], _solve(scan)) for scan, _ in serial]
     if pooled:
         with Pool(processes=min(threads, len(pooled))) as pool:
-            hists = pool.map(_fold, [task for _, task in pooled], chunksize=1)
-        parts += [(sign, task[0][0], hist)
-                  for (sign, task), hist in zip(pooled, hists)]
+            hists = pool.map(_fold, pooled, chunksize=1)
+        parts += [(scan[0], hist) for (scan, _), hist in zip(pooled, hists)]
     return parts
 
 
-def _signed_sum(parts) -> dict[int, int]:
-    """Sum of signed genus histograms, as ``genus -> count`` without zeros."""
-    hist: dict[int, int] = {}
-    for sign, part in parts:
-        for g, n in enumerate(part):
+def _sum(hists) -> dict[int, int]:
+    """Sum of genus histograms, as ``genus -> count`` without zeros."""
+    total: dict[int, int] = {}
+    for hist in hists:
+        for g, n in enumerate(hist):
             if n:
-                hist[g] = hist.get(g, 0) + sign * n
-    return {g: n for g, n in sorted(hist.items()) if n}
+                total[g] = total.get(g, 0) + n
+    return dict(sorted(total.items()))
 
 
 def _histogram(query: CountQuery, threads: int) -> dict[int, int]:
-    """The signed sum of the task histograms: the body of all three counters."""
-    return _signed_sum((sign, hist) for sign, _, hist in _parts(query, threads))
+    """The sum of the task histograms: the body of all three counters."""
+    return _sum(hist for _, hist in _parts(query, threads))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +360,7 @@ def _histogram(query: CountQuery, threads: int) -> dict[int, int]:
 def genus_histogram(query: CountQuery, threads: int = 1) -> dict[int, int]:
     """Exact histogram ``genus -> number of matching words``.
 
-    Unfiltered Frobenius-number scans come from closed genus polynomials.
+    Unfiltered cells come from closed genus polynomials.
     With ``threads > 1`` the walked scans of length 4 or more run on one
     pool of :func:`pool_size` worker processes; the result does not depend
     on it.
@@ -402,23 +385,19 @@ def count_by_length(query: CountQuery, threads: int = 1) -> dict[int, int]:
     Every length is counted in one call, so at most one pool is opened.
     """
     counts: dict[int, int] = {}
-    for sign, length, hist in _parts(query, threads):
-        counts[length] = counts.get(length, 0) + sign * sum(hist)
+    for length, hist in _parts(query, threads):
+        counts[length] = counts.get(length, 0) + sum(hist)
     return {length: n for length, n in sorted(counts.items()) if n}
 
 
 def enumerate_words(query: CountQuery):
     """Yield matching words in lexicographic order (shorter-prefix first).
 
-    Words of different lengths interleave in plain tuple order, so the output
-    is globally sorted; within one length it is ascending lexicographic.
+    The words of the disjoint plans, of one length or several, are merged in
+    plain tuple order, so the output is globally sorted; within one length it
+    is ascending lexicographic.
     """
-    plans = _plans(query)
-    words = heapq.merge(*(_words(scan) for sign, scan in plans if sign > 0))
-    if any(sign < 0 for sign, _ in plans):
-        # the subtracted scan is the words of maximum below the exact depth
-        words = (w for w in words if max(w) == query.depth_exact)
-    for w in words:
+    for w in heapq.merge(*map(_words, _plans(query))):
         yield KunzWord(w)
 
 # ---------------------------------------------------------------------------
@@ -546,8 +525,9 @@ def _subset_scan(length: int, q: int, j: int) -> tuple[int, ...]:
     force_before, force_after = big_before * width, big_after * width
 
     def below(p: int, r: int) -> int:
-        """Bit p in the fields of the levels below r."""
-        return sum(1 << (s * width + p) for s in range(r))
+        """Bit p in the fields of the levels below r: a base-2^width
+        repunit, shifted."""
+        return ((1 << (r * width)) - 1) // ((1 << width) - 1) << p
 
     table: list = [None] * (length + 1)
     for p in range(1, length + 1):

@@ -227,6 +227,7 @@ def test_determinism_across_threads(capsys):
     # count --f 24 --med is walked on a pool at 4 and 16 workers
     for argv in (("count", "--f", "20"), ("count", "--f", "24"),
                  ("count", "--f", "24", "--med"),
+                 ("count", "--ell", "7", "--depth", "3"),
                  ("dist", "genus", "--f", "20")):
         outputs = set()
         for threads in ("1", "4", "16"):
@@ -265,6 +266,16 @@ def test_workers_reports_processes_started(capsys):
     assert err.rstrip().endswith(" workers=1")
     # MED strictness keeps f = 24 on the walker, with scans of length 4+
     code, _, err = run(capsys, "count", "--f", "24", "--med",
+                       "--threads", "2")
+    assert code == 0
+    assert err.rstrip().endswith(" workers=2")
+    # a length query with an exact depth is a union of closed cells
+    code, _, err = run(capsys, "count", "--ell", "7", "--depth", "3",
+                       "--threads", "2")
+    assert code == 0
+    assert err.rstrip().endswith(" workers=1")
+    # a depth bound is one box, walked on the pool
+    code, _, err = run(capsys, "count", "--ell", "7", "--depth-max", "3",
                        "--threads", "2")
     assert code == 0
     assert err.rstrip().endswith(" workers=2")
@@ -319,7 +330,11 @@ class TestExitCodes:
             assert "missing column" in err
 
     def test_overflow_is_a_usage_error(self, capsys):
-        code, _, err = run(capsys, "plot", "growth", "--x-max", "1e200",
-                           "--step", "1e199")
-        assert code == 2
-        assert "verification failure" not in err
+        # an overflowing row, and a range of 1e15 rows, are both refused
+        # before anything is printed
+        for x_max, step in (("1e200", "1e199"), ("1e9", "1e-6")):
+            code, out, err = run(capsys, "plot", "growth", "--x-max", x_max,
+                                 "--step", step)
+            assert code == 2
+            assert out == ""
+            assert "verification failure" not in err

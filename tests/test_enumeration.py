@@ -6,6 +6,7 @@ closed forms, so agreement here pins both down.
 """
 
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -103,13 +104,31 @@ def test_genus_histogram_matches_counter():
 
 
 def test_signed_histogram_matches_brute():
-    # no Frobenius number: depth exactly 3 is (depth <= 3) minus (depth <= 2)
-    q = CountQuery(length=6, depth_exact=3)
-    words = [w for w in map(KunzWord, product(range(1, 4), repeat=6))
-             if is_kunz(w) and w.depth == 3]
-    assert genus_histogram(q) == Counter(w.genus for w in words)
-    assert count_and_genus(q) == (len(words), sum(w.genus for w in words))
-    assert sorted(enumerate_words(q)) == sorted(words)
+    # no Frobenius number: an exact depth q is the union of the cells
+    # j = 1..length, closed unless a filter changes them, and a depth bound
+    # is one box; every variant against the definition over {1..q}^length,
+    # whose product order is the engine's word order
+    for length in range(1, 7):
+        for q in range(1, 5):
+            words = list(map(KunzWord,
+                             product(range(1, q + 1), repeat=length)))
+            exact = CountQuery(length=length, depth_exact=q)
+            box = CountQuery(length=length, depth_max=q)
+            assert all(enumeration._closed_profile(scan) is not None
+                       for scan in enumeration._plans(exact))
+            contains = (q * (length + 1) - 3,)
+            for query in (exact, replace(exact, stressed=True),
+                          replace(exact, med=True),
+                          replace(exact, contains=contains),
+                          box, replace(box, med=True),
+                          replace(box, contains=contains)):
+                want = [w for w in words if query.matches(w)]
+                assert list(enumerate_words(query)) == want
+                assert genus_histogram(query) == Counter(w.genus
+                                                         for w in want)
+                assert count_and_genus(query) == (
+                    len(want), sum(w.genus for w in want))
+                assert count_words(query, threads=2) == len(want)
 
 
 def test_count_and_genus_consistency():
@@ -122,7 +141,6 @@ def test_count_and_genus_consistency():
 
 @pytest.mark.parametrize("threads", [2, 5])
 def test_threaded_counts_agree(threads):
-    # the depth_exact query is signed: its scans are subtracted
     # f = 24 is answered in closed form; its MED scans are walked on a pool
     for q in (CountQuery(frobenius=16), CountQuery(frobenius=24),
               CountQuery(frobenius=24, med=True),
@@ -205,9 +223,9 @@ def test_closed_genus_polynomials_match_walker():
     # depth-4 Frobenius scan up to length 12, and every depth-5 and depth-6
     # one up to length 11
     scans = {scan for f in range(1, 31)
-             for _, scan in enumeration._plans(CountQuery(frobenius=f))}
+             for scan in enumeration._plans(CountQuery(frobenius=f))}
     scans |= {scan for f, m in load_table2() if f <= 30
-              for _, scan in enumeration._plans(
+              for scan in enumeration._plans(
                   CountQuery(frobenius=f, length=m - 1))}
     scans |= {enumeration._frobenius_scan(length, 4, j)
               for length in range(1, 13) for j in range(1, length + 1)}
@@ -265,7 +283,7 @@ def test_filtered_scans_keep_the_walker():
     for query in (CountQuery(frobenius=11, med=True),
                   CountQuery(frobenius=11, contains=(4,))):
         profiles = [enumeration._closed_profile(scan)
-                    for _, scan in enumeration._plans(query)]
+                    for scan in enumeration._plans(query)]
         assert None in profiles
 
 
