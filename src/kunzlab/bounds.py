@@ -248,25 +248,13 @@ class StressedBounds(NamedTuple):
 def stressed3_upper_bounds(length: int) -> StressedBounds:
     """Two upper bounds for the stressed depth-3 count of a given length.
 
-    The naive bound is 8^((length-1)/2) for odd lengths and twice
-    8^((length-2)/2) for even ones; the refined bound multiplies a power of
-    two by a decay factor: 2^floor((3*length-3)/2) * (11/12)^floor((length-1)/2).
+    The naive bound is 2^floor((3*length-3)/2); the refined bound multiplies
+    it by the decay factor (11/12)^floor((length-1)/2).
     """
     if length < 1:
         raise ValueError("length must be at least 1")
-    if length % 2:
-        naive = Fraction(8 ** ((length - 1) // 2))
-    else:
-        naive = Fraction(2 * 8 ** ((length - 2) // 2))
-    refined = (Fraction(2) ** ((3 * length - 3) // 2)
-               * Fraction(11, 12) ** ((length - 1) // 2))
-    return StressedBounds(naive, refined)
-
-
-def _sqrt_lower(n: int, digits: int = 9) -> Fraction:
-    """Certified rational lower bound for sqrt(n)."""
-    scale = 10 ** digits
-    return Fraction(isqrt(n * scale * scale), scale)
+    naive = Fraction(2 ** ((3 * length - 3) // 2))
+    return StressedBounds(naive, naive * Fraction(11, 12) ** ((length - 1) // 2))
 
 
 def _iroot(n: int, k: int) -> int:
@@ -283,21 +271,29 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
+def _root_lower(n: int, k: int) -> Fraction:
+    """floor(n^(1/k) * 10^9) / 10^9: a certified lower bound for n^(1/k)."""
+    return Fraction(_iroot(n * 10 ** (9 * k), k), 10 ** 9)
+
+
 def tail_heavy_bound(length: int, tail_width: int, depth: int) -> Fraction:
     """Certified lower end of the tail-heavy bound t * q^t * c_q^(L + sqrt(L) + 10).
 
     The irrational exponent is rounded down to L + isqrt(L) + 10 and the
     leftover half-power of the squared constant is replaced by a rational
     lower bound, so the returned value never exceeds the true bound; a count
-    at or below it is therefore certainly dominated.
+    at or below it is therefore certainly dominated.  The parameters obey
+    the rules of :class:`~kunzlab.enumeration.TailHeavySpec`.
     """
-    if length < 1 or tail_width < 1 or depth < 1:
-        raise ValueError("parameters must be positive")
+    if not 1 <= tail_width <= length:
+        raise ValueError("tail width must lie in 1..length")
+    if depth < 2:
+        raise ValueError("depth must be at least 2")
     s = cq(depth).squared
     e = length + isqrt(length) + 10
     value = Fraction(s) ** (e // 2)
     if e % 2:
-        value *= _sqrt_lower(s)
+        value *= _root_lower(s, 2)
     return tail_width * Fraction(depth) ** tail_width * value
 
 
@@ -337,10 +333,7 @@ def generic_bounds(f: int, q: int) -> GenericBounds:
     whole, rem = divmod(f, q - 1)
     value = Fraction(q) ** whole
     if rem:
-        digits = 9
-        scale = 10 ** digits
-        root = _iroot(q ** rem * scale ** (q - 1), q - 1)
-        value *= Fraction(root, scale)
+        value *= _root_lower(q ** rem, q - 1)
     return GenericBounds(Fraction(q) ** f, f * value)
 
 

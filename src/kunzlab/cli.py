@@ -48,7 +48,8 @@ def _add_query_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker count (default: all available cores)")
+                        help="worker count, at most the cores available "
+                             "(default: all available cores)")
 
 
 def build_parser() -> argparse.ArgumentParser:

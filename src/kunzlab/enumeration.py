@@ -45,6 +45,7 @@ small depth and are feasible far beyond the generic search.
 from __future__ import annotations
 
 import heapq
+import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, product
@@ -305,33 +306,35 @@ def _solve(scan: Scan) -> list[int]:
 
 
 def _tasks(query: CountQuery, threads: int):
-    """The query's ``(scan, prefix)`` tasks: (serial, pooled).
+    """The query's ``(scan, prefix)`` tasks and its worker count.
 
-    With more than one thread, every walked scan of length 4 or more is split
-    at its depth-2 prefixes for the pool; shorter scans and scans with a
-    closed form run whole in the caller.
+    Returns (serial, pooled, workers).  The worker count is ``threads``
+    capped at the cores available and at the number of pooled tasks.  With
+    more than one worker, every walked scan of length 4 or more is split at
+    its depth-2 prefixes for the pool; shorter scans, scans with a closed
+    form, and everything when one worker is left, run whole in the caller.
     """
+    threads = min(threads, os.cpu_count() or 1)
     serial, pooled = [], []
     for scan in _plans(query):
         if threads <= 1 or scan[0] < 4 or _closed_profile(scan):
             serial.append((scan, ()))
         else:
             pooled += [(scan, pre) for pre in _words(scan, 2)]
-    return serial, pooled
+    return serial, pooled, min(threads, len(pooled)) if pooled else 1
 
 
 def pool_size(query: CountQuery, threads: int = 1) -> int:
     """Worker processes the engine starts for the query; 1 when it runs serially."""
-    pooled = _tasks(query, threads)[1]
-    return min(threads, len(pooled)) if pooled else 1
+    return _tasks(query, threads)[2]
 
 
 def _parts(query: CountQuery, threads: int) -> list[tuple[int, list[int]]]:
     """``(word length, genus histogram)`` of every task of the query."""
-    serial, pooled = _tasks(query, threads)
+    serial, pooled, workers = _tasks(query, threads)
     parts = [(scan[0], _solve(scan)) for scan, _ in serial]
     if pooled:
-        with Pool(processes=min(threads, len(pooled))) as pool:
+        with Pool(processes=workers) as pool:
             hists = pool.map(_fold, pooled, chunksize=1)
         parts += [(scan[0], hist) for (scan, _), hist in zip(pooled, hists)]
     return parts

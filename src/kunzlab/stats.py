@@ -1,11 +1,24 @@
 """Exact multiplicity/genus distributions and rational brackets for their limits.
 
 Finite-Frobenius distributions come straight from the enumeration engine and
-are exact: masses are integer counts, probabilities exact rationals.  The
-limiting quantities are irrational constants known only through convergent
-series; everything here brackets them between exact rationals — partial sums
-of the series below, partial sums plus a certified geometric tail bound above
-— so comparisons against the brackets are decided in rational arithmetic.
+are exact: masses are integer counts, probabilities exact rationals.
+
+The limiting constants are irrational and known only through series, one for
+each parity r of f, over the stressed lengths j = 2 - r, 4 - r, ...:
+
+    head + sum_j st(j) * w(j) * c(j),    w(j) = 2^-floor((3j+3)/2),
+
+where st(j) counts the stressed depth-3 words of length j and c(j) is 1 for
+Backelin's constants, -j/2 for the mean multiplicity deviation and
+avg(j) - (9j+6)/4 for the mean genus deviation, avg(j) being the average
+genus of those words.  The refined termwise bound
+st(j) <= 2^floor((3j-3)/2) * (11/12)^floor((j-1)/2) gives
+st(j) * w(j) <= (1/8) * (11/12)^floor((j-1)/2), so the terms from a length
+``first`` on sum to at most S0 = (3/2) * (11/12)^floor((first-1)/2), and j
+times them to at most S1 = (first + 22) * S0.  Each constant is bracketed
+between exact rationals -- the partial sum plus the tail certified from S0
+and S1 at either end -- so comparisons against the brackets are decided in
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -15,7 +28,8 @@ from fractions import Fraction
 from math import floor, ceil
 from typing import NamedTuple
 
-from .enumeration import count_by_length, genus_histogram, stressed3_genus_total
+from .enumeration import (count_by_length, count_stressed3, genus_histogram,
+                          stressed3_genus_total)
 from .words import CountQuery
 
 __all__ = [
@@ -30,8 +44,11 @@ __all__ = [
     "stressed3_avg_genus",
 ]
 
-_DECAY = Fraction(11, 12)  # per-step factor of the certified series tails
+_DECAY = Fraction(11, 12)  # per-step factor of the refined termwise bound
 _AVG_GENUS_GUARD = 28      # largest head length the average-genus scan accepts
+_PARITIES = ("even", "odd")
+_MU_GAMMA_HEADS = {"mu0": Fraction(1), "mu1": Fraction(3, 4),
+                   "gamma0": Fraction(1, 4), "gamma1": Fraction(1, 8)}
 
 
 @dataclass(frozen=True)
@@ -116,8 +133,37 @@ class Distribution:
 
 
 # ---------------------------------------------------------------------------
-# the two limiting constants, bracketed from the reference table
+# the stressed series, and the two limiting constants from the reference table
 # ---------------------------------------------------------------------------
+
+
+def _parity(parity: str) -> int:
+    """The parity r of f: 0 for 'even', 1 for 'odd'."""
+    if parity not in _PARITIES:
+        raise ValueError("parity must be 'even' or 'odd'")
+    return _PARITIES.index(parity)
+
+
+def _weight(j: int) -> Fraction:
+    """w(j) = 2^-floor((3j+3)/2), the weight of the stressed length j."""
+    return Fraction(1, 2 ** ((3 * j + 3) // 2))
+
+
+def _series(head: Fraction, lengths: range, st, c,
+            lo, hi) -> tuple[Fraction, Fraction]:
+    """Lower and upper ends of head + sum_j st(j) * w(j) * c(j) over all j.
+
+    ``lengths`` are the lengths summed exactly; the tail from the next length
+    ``first`` on is enclosed by alpha * S0 + beta * S1, with (alpha, beta)
+    from ``lo`` and from ``hi``.  That is certified when alpha + beta * j
+    bounds c(j) from below (``lo``) or above (``hi``) on every tail length
+    and keeps the sign of the end it gives: at most 0 below, at least 0 above.
+    """
+    partial = head + sum(st(j) * _weight(j) * c(j) for j in lengths)
+    first = lengths.start + 2 * len(lengths)
+    s0 = Fraction(3, 2) * _DECAY ** ((first - 1) // 2)
+    s1 = (first + 22) * s0
+    return partial + lo[0] * s0 + lo[1] * s1, partial + hi[0] * s0 + hi[1] * s1
 
 
 def backelin_bracket(parity: str, j_cut: int = 56, table1=None) -> ExactBracket:
@@ -125,37 +171,21 @@ def backelin_bracket(parity: str, j_cut: int = 56, table1=None) -> ExactBracket:
 
     For even f the bracketed constant is the limit itself; for odd f it is
     the limit divided by sqrt(2), which makes every series term a dyadic
-    rational.  The lower end is the partial sum of the series through j_cut
-    using only reference-table counts; the upper end adds a geometric tail
-    certified by the termwise inequality st(j) <= 2^floor((3j-3)/2) * (11/12)^floor((j-1)/2).
+    rational.  The series has head 1/2 and c(j) = 1; the lower end sums it
+    through j_cut using only reference-table counts, the upper end adds S0.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
+    r = _parity(parity)
     if j_cut < 0:
         raise ValueError("j_cut must be nonnegative")
     if table1 is None:
         from .refdata import load_table1
         table1 = load_table1()
-    start = 2 if parity == "even" else 1
-    needed = range(start, j_cut + 1, 2)
-    missing = [j for j in needed if j not in table1]
+    lengths = range(2 - r, j_cut + 1, 2)
+    missing = [j for j in lengths if j not in table1]
     if missing:
         raise ValueError(f"reference table lacks rows {missing}")
-    lower = Fraction(1, 2)
-    for j in needed:
-        if parity == "even":
-            lower += Fraction(table1[j], 2 ** (3 * j // 2 + 1))
-        else:
-            lower += Fraction(table1[j], 2 ** (3 * (j + 1) // 2))
-    # Certified tail: each discarded term is at most (1/8) * (11/12)^(k-1)
-    # for even j = 2k, and (1/8) * (11/12)^k for odd j = 2k + 1.
-    if parity == "even":
-        k0 = j_cut // 2 + 1
-        tail = Fraction(3, 2) * _DECAY ** (k0 - 1)
-    else:
-        k0 = (j_cut + 1) // 2
-        tail = Fraction(3, 2) * _DECAY ** k0
-    return ExactBracket(lower, lower + tail)
+    return ExactBracket(*_series(Fraction(1, 2), lengths, table1.__getitem__,
+                                 lambda j: 1, (0, 0), (1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -176,30 +206,20 @@ def limit_mult_mass(k: int, parity: str, bracket: ExactBracket) -> ExactBracket:
     """Limiting probability interval for the multiplicity deviation index k.
 
     For even f the event is f - 2m = 2k; for odd f it is f - 2m = 2k + 1 and
-    ``bracket`` must bracket the odd constant divided by sqrt(2).  The
-    interval arises from substituting the bracket ends for the constant.
+    ``bracket`` must bracket the odd constant divided by sqrt(2).  The mass
+    is 2^(k-1) for k < 0 and the series term st(j) * w(j) of j = 2k + r
+    otherwise (zero for even f at k = 0); dividing it by the bracket ends
+    gives the interval.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
+    r = _parity(parity)
     if bracket.lower <= 0:
         raise ValueError("bracket must be positive")
-    if parity == "even":
-        if k == 0:
-            return ExactBracket(Fraction(0), Fraction(0))
-        if k < 0:
-            value = Fraction(1, 2 ** (1 - k))
-        else:
-            value = Fraction(_stressed_count(2 * k), 2 ** (3 * k + 1))
+    j = 2 * k + r
+    if k < 0:
+        value = Fraction(1, 2 ** (1 - k))
     else:
-        if k < 0:
-            value = Fraction(1, 2 ** (1 - k))
-        else:
-            value = Fraction(_stressed_count(2 * k + 1), 2 ** (3 * k + 3))
+        value = count_stressed3(j) * _weight(j) if j else Fraction(0)
     return ExactBracket(value / bracket.upper, value / bracket.lower)
-
-
-def _stressed_count(j: int) -> int:
-    return stressed3_genus_total(j)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,68 +278,38 @@ def mu_gamma_partial(kind: str, k_cut: int, bracket: ExactBracket) -> ExactBrack
     """Enclosing interval for a limiting mean deviation constant.
 
     ``kind`` selects the series: 'mu0'/'mu1' are the limiting averages of
-    m - f/2 over even/odd f, 'gamma0'/'gamma1' those of g - 3f/4.  Terms with
-    index at most k_cut enter exactly (average genus included); the infinite
-    remainder is enclosed using the termwise count bound together with
-    j + 2 <= G_j <= 3j, and the constant's reciprocal is applied as an
-    interval, so the result is a certified enclosure of the limit.
+    m - f/2 over even/odd f, 'gamma0'/'gamma1' those of g - 3f/4.  Lengths
+    j = 2k + r with k at most k_cut enter exactly (average genus included).
+    The tail is enclosed through c(j) in [-j/2, 0] for mu and, from
+    j + 2 <= avg(j) <= 3j, in [(2-5j)/4, (3j-6)/4] for gamma; the constant's
+    reciprocal is applied as an interval, so the result is a certified
+    enclosure of the limit.
 
     Pass the bracket of matching parity: the even constant for 'mu0'/'gamma0',
     the odd constant already divided by sqrt(2) for 'mu1'/'gamma1'.
     """
-    if kind not in ("mu0", "mu1", "gamma0", "gamma1"):
+    if kind not in _MU_GAMMA_HEADS:
         raise ValueError("kind must be one of mu0, mu1, gamma0, gamma1")
     if k_cut < 0:
         raise ValueError("k_cut must be nonnegative")
     if bracket.lower <= 0:
         raise ValueError("bracket must be positive")
-    odd = kind.endswith("1")
-    if 2 * k_cut + (1 if odd else 0) > _AVG_GENUS_GUARD:
+    r = int(kind[-1])
+    last = 2 * k_cut + r
+    if last > _AVG_GENUS_GUARD:
         raise ValueError("k_cut exceeds the average-genus guard")
-
-    eighth = Fraction(1, 8)
-    if not odd:
-        # exact part: the closed form over m > f/2 plus terms k = 1..k_cut
-        partial = Fraction(1) if kind == "mu0" else Fraction(1, 4)
-        for k in range(1, k_cut + 1):
-            count, genus = stressed3_genus_total(2 * k)
-            mass = Fraction(count, 2 ** (3 * k + 1))
-            if kind == "mu0":
-                partial += mass * (-k)
-            else:
-                avg = Fraction(genus, count)
-                partial += mass * (4 * avg - 18 * k - 6) / 4
-        m0 = k_cut + 1
-        geo0 = Fraction(3, 2) * _DECAY ** (m0 - 1)            # sum of bounds
-        geo1 = Fraction(3, 2) * _DECAY ** (m0 - 1) * (m0 + 11)  # k-weighted
-        if kind == "mu0":
-            tail_lo, tail_hi = -geo1, Fraction(0)
-        else:
-            # coefficient (4*G - 18k - 6)/4 lies in [(1-5k)/2, (6k-6)/4]
-            tail_lo = geo0 / 2 - Fraction(5, 2) * geo1
-            tail_hi = Fraction(3, 2) * (geo1 - geo0)
+    lengths = range(2 - r, last + 1, 2)
+    head = _MU_GAMMA_HEADS[kind]
+    if kind.startswith("mu"):
+        inner_lo, inner_hi = _series(head, lengths, count_stressed3,
+                                     lambda j: Fraction(-j, 2),
+                                     (0, Fraction(-1, 2)), (0, 0))
     else:
-        partial = Fraction(3, 4) if kind == "mu1" else Fraction(1, 8)
-        for k in range(0, k_cut + 1):
-            count, genus = stressed3_genus_total(2 * k + 1)
-            mass = Fraction(count, 2 ** (3 * k + 3))
-            if kind == "mu1":
-                partial += mass * Fraction(-(2 * k + 1), 2)
-            else:
-                avg = Fraction(genus, count)
-                partial += mass * (avg - Fraction(18 * k + 15, 4))
-        m0 = k_cut + 1
-        geo0 = Fraction(3, 2) * _DECAY ** m0
-        geo1 = Fraction(3, 2) * _DECAY ** m0 * (m0 + 11)
-        if kind == "mu1":
-            tail_lo, tail_hi = -(geo1 + geo0 / 2), Fraction(0)
-        else:
-            # coefficient G - (18k + 15)/4 lies in [(-10k-3)/4, (6k-3)/4]
-            tail_lo = -(10 * geo1 + 3 * geo0) / 4
-            tail_hi = (6 * geo1 - 3 * geo0) / 4
-
-    inner_lo = partial + tail_lo
-    inner_hi = partial + tail_hi
+        inner_lo, inner_hi = _series(
+            head, lengths, count_stressed3,
+            lambda j: stressed3_avg_genus(j) - Fraction(9 * j + 6, 4),
+            (Fraction(1, 2), Fraction(-5, 4)),
+            (Fraction(-3, 2), Fraction(3, 4)))
     corners = [inner_lo / bracket.lower, inner_lo / bracket.upper,
                inner_hi / bracket.lower, inner_hi / bracket.upper]
     return ExactBracket(min(corners), max(corners))

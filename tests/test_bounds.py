@@ -73,8 +73,13 @@ def test_tail_heavy_bound_values():
     # depth 2: the squared constant is 4, so both parities come out exact
     assert tail_heavy_bound(1, 1, 2) == 8192      # 1 * 2 * 4^6
     assert tail_heavy_bound(2, 1, 2) == 16384     # 2 * 2 * 4^6 via sqrt(4) = 2
-    with pytest.raises(ValueError):
-        tail_heavy_bound(0, 1, 2)
+    # the spec rules of TailHeavySpec: 1 <= tail_width <= length, depth >= 2
+    for bad in ((0, 1, 2), (2, 5, 3), (3, 0, 3), (4, 2, 1), (4, 2, 0)):
+        with pytest.raises(ValueError):
+            TailHeavySpec(*bad)
+        with pytest.raises(ValueError):
+            tail_heavy_bound(*bad)
+    assert tail_heavy_bound(2, 2, 2) == 65536     # tail_width = length
 
 
 def test_depth_count_bound():

@@ -307,6 +307,13 @@ class TestExitCodes:
     def test_bounds_needs_a_mode(self, capsys):
         assert run(capsys, "bounds")[0] == 2
 
+    def test_tail_heavy_bound_outside_the_spec(self, capsys):
+        for argv in (("--tail-width", "5", "--ell", "2", "--depth", "3"),
+                     ("--tail-width", "1", "--ell", "2", "--depth", "1")):
+            code, out, _ = run(capsys, "bounds", *argv)
+            assert code == 2
+            assert out == ""
+
     def test_dist_f_too_small(self, capsys):
         assert run(capsys, "dist", "mult", "--f", "2")[0] == 2
 

@@ -5,6 +5,7 @@ filters by definition; it is independent of the engine's pruning and of the
 closed forms, so agreement here pins both down.
 """
 
+import os
 from collections import Counter
 from dataclasses import replace
 from itertools import product
@@ -183,6 +184,21 @@ def test_one_pool_per_call(monkeypatch):
     assert enumeration.pool_size(CountQuery(frobenius=20), 2) == 1
     assert enumeration.pool_size(CountQuery(frobenius=24), 2) == 1
     assert enumeration.pool_size(query, 1) == 1
+
+
+def test_pool_size_is_capped_at_the_cores(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was opened")
+
+    monkeypatch.setattr("kunzlab.enumeration.Pool", no_pool)
+    # 67,650 depth-2 prefixes, but never more workers than cores
+    query = CountQuery(length=4, depth_max=300)
+    assert enumeration.pool_size(query, 10 ** 6) <= (os.cpu_count() or 1)
+    # capped at one worker, a pooled query runs serially
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    med = CountQuery(frobenius=24, med=True)
+    assert enumeration.pool_size(med, 2) == 1
+    assert count_words(med, threads=2) == count_words(med)
 
 
 def test_infinite_query_rejected():

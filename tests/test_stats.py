@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kunzlab import enumeration
+from kunzlab.bounds import stressed3_upper_bounds
 from kunzlab.enumeration import count_words
 from kunzlab.refdata import load_table1
 from kunzlab.stats import (
@@ -247,3 +248,83 @@ def test_mu_gamma_partial_guards():
     b = backelin_bracket("even")
     with pytest.raises(ValueError):
         mu_gamma_partial("mu2", 8, b)
+
+
+# ---------------------------------------------------------------------------
+# golden values: every series term and tail pinned as an exact rational
+# ---------------------------------------------------------------------------
+
+
+_GOLDEN_CONSTANTS = {
+    (56, 8): {
+        "c0": ("48769759825823230870319789/38685626227668133590597632",
+               "410609617829696646954103537584684963679/"
+               "295001014066853243782145636489477750784"),
+        "c1": ("12336278119993680387746299/9671406556917033397649408",
+               "103749256395543712378270658487884427097/"
+               "73750253516713310945536409122369437696"),
+        "mu0": ("-1371645330437559859626389798912/"
+                "106659464739075405913389378543",
+                "-370623691946819138960004805510658260992/"
+                "410609617829696646954103537584684963679"),
+        "mu1": ("-987343521195679815121202315264/"
+                "80938320745278537024003467739",
+                "-111189068795942070712058731674910851072/"
+                "103749256395543712378270658487884427097"),
+        "gamma0": ("-351317175663879737617986617344/"
+                   "11851051637675045101487708727",
+                   "591005414785605364567720853504/"
+                   "35553154913025135304463126181"),
+        "gamma1": ("-2253947550956473360570239680512/"
+                   "80938320745278537024003467739",
+                   "136196561849915146937462423552/"
+                   "8993146749475393002667051971"),
+    },
+    (7, 3): {
+        "c0": ("53/64", "2285/1152"),
+        "c1": ("3751/4096", "218405/110592"),
+        "mu0": ("-6511/318", "24/53"),
+        "mu1": ("-3634019/202554", "-3051/436810"),
+        "gamma0": ("-196871/3816", "37307/1272"),
+        "gamma1": ("-2006209/45012", "3351613/135036"),
+    },
+}
+
+# the mass limit_mult_mass divides by the bracket ends, k = -3..6
+_GOLDEN_MASSES = {
+    "even": ("1/16", "1/8", "1/4", "0", "1/8", "7/64", "3/32", "667/8192",
+             "4513/65536", "28897/524288"),
+    "odd": ("1/16", "1/8", "1/4", "1/8", "7/64", "25/256", "343/4096",
+            "2249/32768", "15349/262144", "100425/2097152"),
+}
+
+
+@pytest.mark.parametrize("cuts", sorted(_GOLDEN_CONSTANTS))
+def test_constant_brackets_golden(cuts):
+    j_cut, k_cut = cuts
+    for which, (lower, upper) in _GOLDEN_CONSTANTS[cuts].items():
+        parity = "even" if which.endswith("0") else "odd"
+        bracket = backelin_bracket(parity, j_cut=j_cut)
+        if not which.startswith("c"):
+            bracket = mu_gamma_partial(which, k_cut, bracket)
+        assert (bracket.lower, bracket.upper) == (Fraction(lower),
+                                                  Fraction(upper)), which
+
+
+def test_limit_mult_mass_golden():
+    for parity, masses in _GOLDEN_MASSES.items():
+        b = backelin_bracket(parity)
+        for k, mass in zip(range(-3, 7), masses):
+            got = limit_mult_mass(k, parity, b)
+            mass = Fraction(mass)
+            assert (got.lower, got.upper) == (mass / b.upper,
+                                              mass / b.lower), (parity, k)
+
+
+def test_stressed3_upper_bounds_golden():
+    naive = [1, 2, 8, 16, 64, 128, 512, 1024, 4096, 8192, 32768, 65536]
+    refined = ["1", "2", "22/3", "44/3", "484/9", "968/9", "10648/27",
+               "21296/27", "234256/81", "468512/81", "5153632/243",
+               "10307264/243"]
+    assert [stressed3_upper_bounds(l) for l in range(1, 13)] == [
+        (n, Fraction(r)) for n, r in zip(naive, refined)]
