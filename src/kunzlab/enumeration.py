@@ -335,7 +335,7 @@ def _parts(query: CountQuery, threads: int) -> list[tuple[int, list[int]]]:
     parts = [(scan[0], _solve(scan)) for scan, _ in serial]
     if pooled:
         with Pool(processes=workers) as pool:
-            hists = pool.map(_fold, pooled, chunksize=1)
+            hists = pool.map(_fold, pooled)
         parts += [(scan[0], hist) for (scan, _), hist in zip(pooled, hists)]
     return parts
 
@@ -798,9 +798,13 @@ def is_tail_heavy(word: tuple[int, ...], spec: TailHeavySpec) -> bool:
 def tail_heavy_count(spec: TailHeavySpec) -> int:
     """Exact number of tail-heavy words in [q]^length.
 
-    Scans the q^(length - tail_width) heads once; for each head only the
-    number d of tail positions all of whose head pairs reach q matters, and
-    the tails for a given d are counted in closed form.
+    For each head only the number d of tail positions all of whose head pairs
+    reach q matters, and the tails for a given d are counted in closed form.
+    The heads are scanned by value class: a head value of q-1 or more reaches
+    q with any partner (itself included, as q >= 2), so q-1 and q pass the
+    same pair tests.  The (q-1)^(length - tail_width) heads over 1..q-1 are
+    scanned once, each standing for the 2^c heads got by raising any subset
+    of its c entries equal to q-1 to q.
     """
     q = spec.depth
     t = spec.tail_width
@@ -815,12 +819,12 @@ def tail_heavy_count(spec: TailHeavySpec) -> int:
     if h == 0:
         hist[t] = 1
     else:
-        for head in product(range(1, q + 1), repeat=h):
+        for head in product(range(1, q), repeat=h):
             d = always
             for pairs in checked:
                 if all(head[x] + head[y] >= q for x, y in pairs):
                     d += 1
-            hist[d] += 1
+            hist[d] += 1 << head.count(q - 1)
     total = 0
     for d, heads in enumerate(hist):
         if not heads:

@@ -3,10 +3,12 @@
 Counting words whose pairwise entry sums clear a threshold is, position set by
 position set, a graph homomorphism count into a *threshold graph*: vertices
 are the permitted entry values, and two values are adjacent when their sum
-reaches the threshold.  This module provides those targets, a small-instance
-homomorphism counter, the closed form for complete-bipartite patterns, and a
-procedure that pads a bounded-degree graph into a d-regular supergraph without
-decreasing its homomorphism count into any of the threshold targets.
+reaches the threshold.  This module provides those targets, an exact
+homomorphism counter that sweeps the pattern's vertices forward keeping only
+the images of the vertices later ones still depend on, the closed form for
+complete-bipartite patterns, and a procedure that pads a bounded-degree graph
+into a d-regular supergraph without decreasing its homomorphism count into any
+of the threshold targets.
 """
 
 from __future__ import annotations
@@ -179,7 +181,13 @@ def hom_count(pattern: LabeledGraph, target: LabeledGraph,
               max_vertices: int = 12) -> int:
     """Number of maps V(pattern) -> V(target) preserving adjacency.
 
-    Exhaustive with backtracking, so the pattern must stay small; the guard
+    A forward sweep over the pattern's vertices in breadth-first order (the
+    dynamic program of Diaz, Serna and Thilikos, "Counting H-colorings of
+    partial k-trees", 2002).  After each vertex it keeps one count per tuple
+    of images of the live vertices, those already placed that a later vertex
+    is adjacent to; a vertex no later one looks at is counted in bulk, not
+    branched on.  The number of live tuples can still grow as the target's
+    vertex count to the power of the number of live vertices, so the guard
     rejects patterns with more than ``max_vertices`` vertices.
     """
     n = pattern.vertex_count
@@ -223,23 +231,37 @@ def hom_count(pattern: LabeledGraph, target: LabeledGraph,
                      if u != v and slot[u] < k])
         base.append(loop_ok if pattern.has_edge(v, v) else full)
 
-    assignment = [0] * n
-
-    def rec(k: int) -> int:
-        if k == n:
-            return 1
-        cand = base[k]
+    # sweep the slots forward, keeping only the images of the live slots:
+    # those assigned already that a later slot still looks back at
+    last = [-1] * n
+    for k in range(n):
         for i in back[k]:
-            cand &= adj_mask[assignment[i]]
-        total = 0
-        while cand:
-            low = cand & -cand
-            assignment[k] = low.bit_length()
-            total += rec(k + 1)
-            cand ^= low
-        return total
-
-    return rec(0)
+            last[i] = k
+    live: list[int] = []
+    counts = {(): 1}
+    for k in range(n):
+        look = [live.index(i) for i in back[k]]
+        keep = [p for p, i in enumerate(live) if last[i] != k]
+        grows = last[k] > k
+        nxt: dict[tuple[int, ...], int] = {}
+        for key, count in counts.items():
+            cand = base[k]
+            for p in look:
+                cand &= adj_mask[key[p]]
+            if not cand:
+                continue
+            kept = tuple([key[p] for p in keep])
+            if not grows:
+                nxt[kept] = nxt.get(kept, 0) + count * cand.bit_count()
+                continue
+            while cand:
+                low = cand & -cand
+                grown = kept + (low.bit_length(),)
+                nxt[grown] = nxt.get(grown, 0) + count
+                cand ^= low
+        counts = nxt
+        live = [live[p] for p in keep] + ([k] if grows else [])
+    return sum(counts.values())
 
 
 def hom_kdd(d: int, q: int) -> int:

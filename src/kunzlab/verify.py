@@ -444,8 +444,8 @@ def check_bound_dominance() -> CheckResult:
                         return False, (f"tail-heavy bound fails at "
                                        f"{(ell, t, q)}")
                     cells += 1
-        return True, (f"depth power, fixed-f, stressed (56 rows), and "
-                      f"tail-heavy ({cells} cells) dominances all exact")
+        return True, (f"depth power, fixed-f, stressed ({len(rows)} rows), "
+                      f"and tail-heavy ({cells} cells) dominances all exact")
 
     return _run("bound-dominance", body)
 

@@ -404,18 +404,61 @@ def test_family_guards():
 
 
 def brute_tail_heavy(spec: TailHeavySpec) -> int:
-    return sum(
-        1
-        for word in product(range(1, spec.depth + 1), repeat=spec.length)
-        if is_tail_heavy(word, spec)
-    )
+    """Tail-heavy words of [q]^length, word by word from the definition.
+
+    A tail position s is heavy when it holds q and every head pair x <= y
+    with x + y = s reaches q; a word is tail-heavy when its heavy count
+    exceeds sqrt(length).
+    """
+    q, ell = spec.depth, spec.length
+    h = ell - spec.tail_width
+    checks = [(s - 1, [(x - 1, s - x - 1) for x in range(1, s // 2 + 1)
+                       if s - x <= h])
+              for s in range(h + 1, ell + 1)]
+    total = 0
+    for word in product(range(1, q + 1), repeat=ell):
+        heavy = sum(1 for s, pairs in checks if word[s] == q
+                    and all(word[x] + word[y] >= q for x, y in pairs))
+        if heavy * heavy > ell:
+            total += 1
+    return total
 
 
 @pytest.mark.parametrize("shape", [(5, 3, 3), (6, 4, 2), (7, 5, 3),
                                    (5, 5, 3), (4, 2, 3), (6, 2, 4)])
 def test_tail_heavy_count_matches_brute(shape):
     spec = TailHeavySpec(*shape)
-    assert tail_heavy_count(spec) == brute_tail_heavy(spec)
+    words = product(range(1, spec.depth + 1), repeat=spec.length)
+    predicate = sum(1 for w in words if is_tail_heavy(w, spec))
+    assert tail_heavy_count(spec) == brute_tail_heavy(spec) == predicate
+
+
+def test_tail_heavy_count_matches_brute_on_every_small_shape():
+    # every shape with q^length <= 2e4: q = 2 (one value class), an empty
+    # head (t = length), and tails too narrow to be heavy (n_min > t)
+    for q in range(2, 6):
+        ell = 1
+        while q ** ell <= 2 * 10 ** 4:
+            for t in range(1, ell + 1):
+                spec = TailHeavySpec(ell, t, q)
+                assert tail_heavy_count(spec) == brute_tail_heavy(spec), \
+                    (ell, t, q)
+            ell += 1
+
+
+# tail_heavy_count((14, t, 4)) for t = 4..14, from the one-head-at-a-time scan
+# over all 4^(14 - t) heads
+GOLDEN_TAIL_HEAVY_14_4 = {
+    4: 130011, 5: 706868, 6: 2433934, 7: 6055980, 8: 13833265,
+    9: 25779472, 10: 43703548, 11: 63598120, 12: 86767927,
+    13: 107271052, 14: 128489326,
+}
+
+
+def test_tail_heavy_count_golden_length_14():
+    got = {t: tail_heavy_count(TailHeavySpec(14, t, 4))
+           for t in GOLDEN_TAIL_HEAVY_14_4}
+    assert got == GOLDEN_TAIL_HEAVY_14_4
 
 
 def test_tail_heavy_zero_when_tail_too_narrow():

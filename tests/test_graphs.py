@@ -1,5 +1,6 @@
 """Labeled graphs, homomorphism counts, and the regularization gadget."""
 
+import random
 from itertools import product
 
 import pytest
@@ -146,6 +147,80 @@ def test_hom_count_matches_brute(q):
     ]
     for pattern in patterns:
         assert hom_count(pattern, target) == brute_hom(pattern, target)
+
+
+def random_pattern(rng: random.Random) -> LabeledGraph:
+    """Up to 7 vertices; random endpoints make loops and repeats."""
+    n = rng.randint(1, 7)
+    edges = [(rng.randint(1, n), rng.randint(1, n))
+             for _ in range(rng.randint(0, n + 3))]
+    return LabeledGraph(n, edges)
+
+
+def _components(graph: LabeledGraph) -> int:
+    seen: set[int] = set()
+    parts = 0
+    for v in range(1, graph.vertex_count + 1):
+        if v in seen:
+            continue
+        parts += 1
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            if u not in seen:
+                seen.add(u)
+                stack.extend(graph.neighbors(u))
+    return parts
+
+
+def _random_looped_target() -> LabeledGraph:
+    rng = random.Random(7)
+    edges = [(u, v) for u in range(1, 5) for v in range(u, 5)
+             if rng.random() < 0.5]
+    return LabeledGraph(4, edges)
+
+
+HOM_TARGETS = {
+    **{f"threshold{q}": threshold_target(q) for q in range(1, 6)},
+    "triangle": LabeledGraph(3, [(1, 2), (2, 3), (1, 3)]),
+    "four_cycle": LabeledGraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+    "random_looped": _random_looped_target(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOM_TARGETS))
+def test_hom_count_matches_brute_on_random_patterns(name):
+    target = HOM_TARGETS[name]
+    rng = random.Random(f"hom/{name}")
+    patterns = [random_pattern(rng) for _ in range(24)]
+    # the sample covers every pattern feature the sweep must handle
+    assert any(not p.is_loop_free() for p in patterns)
+    assert any(len(p.edges()) > len(set(p.edges())) for p in patterns)
+    assert any(p.degree(v) == 0 for p in patterns
+               for v in range(1, p.vertex_count + 1))
+    assert any(_components(p) > 1 for p in patterns)
+    for pattern in patterns:
+        assert hom_count(pattern, target) == brute_hom(pattern, target), \
+            pattern
+
+
+def test_random_looped_target_is_not_threshold():
+    target = HOM_TARGETS["random_looped"]
+    loops = [v for v in range(1, 5) if target.has_edge(v, v)]
+    assert 0 < len(loops) < 4
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_hom_count_twelve_cycle_is_trace_of_power(q):
+    # hom(C_12, T_q) = trace(A^12), A the adjacency of T_q: i ~ j iff i+j >= q
+    a = [[int(i + j >= q) for j in range(1, q + 1)] for i in range(1, q + 1)]
+    power = [[int(i == j) for j in range(q)] for i in range(q)]
+    for _ in range(12):
+        power = [[sum(power[i][k] * a[k][j] for k in range(q))
+                  for j in range(q)] for i in range(q)]
+    cycle = LabeledGraph(12, [(v, v % 12 + 1) for v in range(1, 13)])
+    trace = sum(power[i][i] for i in range(q))
+    assert hom_count(cycle, threshold_target(q)) == trace
 
 
 def test_hom_ignores_edge_multiplicity():
