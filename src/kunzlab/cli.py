@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 
 from . import bounds as bounds_mod
 from . import enumeration as eng
@@ -30,6 +31,9 @@ class _Usage(Exception):
 
 # the most rows `plot growth` prints; more are refused before any output
 _GROWTH_ROWS_MAX = 100_000
+
+# words per write of `enumerate`: its output streams, one batch at a time
+_ENUM_BATCH = 4096
 
 
 def _add_query_flags(parser: argparse.ArgumentParser) -> None:
@@ -190,13 +194,26 @@ def _cmd_count(args, out) -> int:
 
 
 def _cmd_enumerate(args, out) -> int:
+    """Stream the words, ``_ENUM_BATCH`` at a time, with the bytes of one
+    ``json.dumps`` of the whole payload (or of one CSV row per word)."""
     query = _build_query(args)
-    words = [list(word) for word in eng.enumerate_words(query)]
+    words = iter(eng.enumerate_words(query))
+    # the first batch is taken before any output, so an error leaves none
+    batch = list(islice(words, _ENUM_BATCH))
     if args.format == "csv":
-        for word in words:
-            print(",".join(str(w) for w in word), file=out)
-    else:
-        _emit_json({"query": _query_echo(query), "words": words}, out)
+        while batch:
+            out.write("".join(",".join(map(str, word)) + "\n"
+                              for word in batch))
+            batch = list(islice(words, _ENUM_BATCH))
+        return 0
+    # the payload with no words, up to the open bracket of its word list
+    out.write(json.dumps({"query": _query_echo(query), "words": []})[:-2])
+    sep = ""
+    while batch:
+        out.write(sep + json.dumps(batch)[1:-1])
+        sep = ", "
+        batch = list(islice(words, _ENUM_BATCH))
+    out.write("]}\n")
     return 0
 
 

@@ -23,16 +23,20 @@ paper's count floor((q+1)^2/4)^(f/(2q-2)) makes depth 2 and depth 3 (about
 table, which is why that case is tuned.
 
 One walker, :func:`_walk`, searches the cells that a filter changed (MED
-strictness, a cap lowered by ``contains``), the depth-bound boxes, and every
-scan that :func:`enumerate_words` expands into words.  It keeps
+strictness, a cap lowered by ``contains``), the depth-bound boxes, and the
+scans that :func:`enumerate_words` expands into words without a product
+structure.  It keeps
 for each position the interval of values the defining inequalities allow
 against the prefix chosen so far, and hands each leaf to its caller as a
 whole value range of the final position.  Counts, genus sums and genus
 histograms all come from one fold of those ranges into a genus difference
-array; enumeration expands the ranges into words and never takes a closed
-form.  For parallel work the same walker, stopped at depth 2, splits the
-long searched scans into (scan, prefix) tasks, and every task of a call runs
-on one worker pool.
+array.  Enumeration mirrors that split (:func:`_cell_words`): a closed cell
+of depth at most 3 yields its words from the product its closed form
+describes (a free {1,2} head at q = 2; the stressed depth-3 words of length
+j, walked, times free {1,2} tails at q = 3), and every other scan expands
+the walker's ranges into words.  For parallel work the same walker, stopped
+at depth 2, splits the long searched scans into (scan, prefix) tasks, and
+every task of a call runs on one worker pool.
 :func:`_walked_histogram` folds every scan through the walker alone: it is
 the oracle the closed forms are checked against.
 
@@ -226,6 +230,32 @@ def _words(scan: Scan, stop: int = 0):
             yield base + (v,)
 
 
+def _cell_words(scan: Scan):
+    """Yield a whole scan's words in ascending lexicographic order.
+
+    This is to :func:`_words` what :func:`_solve` is to :func:`_fold`: a
+    closed cell of depth q <= 3 is read from the product structure of its
+    closed form (see :func:`_closed_form`), and any other scan is walked.
+
+    * q = 1: the word of ones when j = length, else nothing;
+    * q = 2: a free {1,2} head of length j-1, the 2 at j, then ones;
+    * q = 3: a stressed depth-3 head of length j, each followed by every
+      free {1,2} tail, lazily.
+    """
+    profile = _closed_profile(scan)
+    if profile is None or profile[0] >= 4:
+        return _words(scan)
+    length = scan[0]
+    q, j = profile
+    if q == 1:
+        return iter([(1,) * length] if j == length else [])
+    if q == 2:
+        tail = (2,) + (1,) * (length - j)
+        return (head + tail for head in product((1, 2), repeat=j - 1))
+    return (head + tail for head in _words(_frobenius_scan(j, 3, j))
+            for tail in product((1, 2), repeat=length - j))
+
+
 def _fold(task: tuple[Scan, tuple[int, ...]]) -> list[int]:
     """Genus histogram, indexed by genus, of one scan's words below a prefix."""
     scan, prefix = task
@@ -278,6 +308,8 @@ def _closed_form(length: int, q: int, j: int) -> list[int]:
       tail is free over {1,2}, so S_j(x) (x+x^2)^(length-j).
 
     For q >= 4 the whole polynomial comes from :func:`_subset_scan`.
+    :func:`_cell_words` reads the words of the q <= 3 cells from the same
+    products.
     """
     if q >= 4:
         return list(_subset_scan(length, q, j))
@@ -394,14 +426,19 @@ def count_by_length(query: CountQuery, threads: int = 1) -> dict[int, int]:
 
 
 def enumerate_words(query: CountQuery):
-    """Yield matching words in lexicographic order (shorter-prefix first).
+    """Matching words as ``KunzWord``s, in ascending tuple order.
 
-    The words of the disjoint plans, of one length or several, are merged in
-    plain tuple order, so the output is globally sorted; within one length it
-    is ascending lexicographic.
+    Each plan yields its words through :func:`_cell_words`: a closed cell of
+    depth at most 3 from its product structure, any other scan walked.  The
+    streams of the disjoint plans, of one length or several, are merged in
+    plain tuple order, so the output is globally sorted (a shorter prefix
+    first); within one length it is ascending lexicographic.  The plans are
+    built on the call, so a bad query raises before the first word.
     """
-    for w in heapq.merge(*map(_words, _plans(query))):
-        yield KunzWord(w)
+    words = heapq.merge(*map(_cell_words, _plans(query)))
+    # every entry lies in 1..q by construction, so the words skip KunzWord's
+    # entry check
+    return map(partial(tuple.__new__, KunzWord), words)
 
 # ---------------------------------------------------------------------------
 # subset scans: the stressed depth-3 table, and every Frobenius-number scan

@@ -105,7 +105,7 @@ class KunzWord(tuple):
         if not self:
             return -1
         q = max(self)
-        j = max(i for i in range(1, len(self) + 1) if self[i - 1] == q)
+        j = len(self) - self[::-1].index(q)  # the last position holding q
         return (len(self) + 1) * (q - 1) + j
 
     @property
@@ -122,12 +122,13 @@ class KunzWord(tuple):
 def invariants(word: Sequence[int]) -> SemigroupInvariants:
     if not isinstance(word, KunzWord):
         word = KunzWord(word)
+    frobenius = word.frobenius
     return SemigroupInvariants(
         multiplicity=word.multiplicity,
         genus=word.genus,
         depth=word.depth,
-        frobenius=word.frobenius,
-        conductor=word.conductor,
+        frobenius=frobenius,
+        conductor=frobenius + 1,
     )
 
 

@@ -1,10 +1,13 @@
 """Growth constants, explicit count bounds, and the limiting rate curve."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from kunzlab.bounds import (
+    _exact_greater,
+    _log_dominates,
     check_c_monotone,
     cq,
     depth_count_bound,
@@ -36,6 +39,58 @@ def test_scaled_constants_decrease():
     assert report.ok, report.violation
     assert report.sequence_comparisons == 3 * 198
     assert report.interpolation_comparisons > 0
+
+
+SHORTCUT_R_GRID = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+
+
+def test_log_shortcut_is_sound_on_the_sequence():
+    # wherever the first-order test claims s_q^(q+1+r) > s_{q+1}^(q+r), the
+    # exact integers agree
+    decided = 0
+    for r in SHORTCUT_R_GRID:
+        a, b = r.numerator, r.denominator
+        for q in range(2, 2001):
+            s_lo, s_hi = cq(q).squared, cq(q + 1).squared
+            if _log_dominates(s_lo, s_hi, q + r):
+                decided += 1
+                assert _exact_greater([(s_lo, b * (q + 1) + a)],
+                                      [(s_hi, b * q + a)]), (q, r)
+    assert decided == 7991  # all but five instances, every one at q <= 3
+
+
+def _interpolation_holds(q: int, r: Fraction, t1: Fraction,
+                         t2: Fraction) -> bool:
+    """F(t1) > F(t2) for F(t) = (c_q^t c_{q-1}^(1-t))^(1/(q+t-r)), exactly:
+    (t1 A + (1-t1) B)(q+t2-r) > (t2 A + (1-t2) B)(q+t1-r) with A, B the
+    logarithms of the squared constants, raised to integer powers."""
+    e1, e2 = q + t1 - r, q + t2 - r
+    exps = (t1 * e2, (1 - t1) * e2, t2 * e1, (1 - t2) * e1)
+    den = lcm(*(e.denominator for e in exps))
+    x1, y1, x2, y2 = (int(e * den) for e in exps)
+    s_q, s_p = cq(q).squared, cq(q - 1).squared
+    return s_q ** x1 * s_p ** y1 > s_q ** x2 * s_p ** y2
+
+
+def test_log_shortcut_is_sound_on_the_interpolation():
+    # wherever the derivative test passes at (q, r), every pair of the
+    # default t-grid decreases
+    grid = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4),
+            Fraction(1))
+    decided = 0
+    for r in SHORTCUT_R_GRID:
+        for q in range(3, 201):
+            if _log_dominates(cq(q - 1).squared, cq(q).squared, q - r):
+                decided += 1
+                for t1, t2 in zip(grid, grid[1:]):
+                    assert _interpolation_holds(q, r, t1, t2), (q, r, t1)
+    assert decided == 4 * 198 - 5  # all but q = 3 at r = 0 and q = 4
+
+
+def test_repeated_t_is_still_a_violation():
+    # F(t) > F(t) fails, and no shortcut may skip it
+    report = check_c_monotone(10, t_grid=(0, Fraction(1, 2), Fraction(1, 2)))
+    assert report.violation == "interpolation failed at q=3, r=0, t=1/2..1/2"
 
 
 def test_monotonicity_guards():

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from kunzlab import cli
+from kunzlab.enumeration import enumerate_words
 from kunzlab.graphs import LabeledGraph, graph_to_text
 from kunzlab.stats import backelin_bracket, mu_gamma_partial
 
@@ -54,6 +55,48 @@ def test_enumerate_csv(capsys):
     code, out, _ = run(capsys, "enumerate", "--f", "5", "--format", "csv")
     assert code == 0
     assert set(out.splitlines()) == {"1,1,1,1,1", "1,2", "2,1,1", "2,2", "3"}
+
+
+ENUMERATE_ARGVS = (
+    [("--f", str(f)) for f in range(23)]
+    + [("--f", "14", "--med"), ("--f", "14", "--contains", "7"),
+       ("--f", "14", "--depth", "3", "--stressed"), ("--f", "14", "--m", "6"),
+       ("--f", "14", "--depth-max", "2"), ("--ell", "6", "--depth", "3"),
+       ("--ell", "5", "--depth-max", "3", "--med"),
+       ("--f", "14", "--contains", "-3"),  # no words
+       ("--f", "27",)]  # 16,132 words, several write batches
+)
+
+
+def _whole_payload(argv) -> tuple:
+    """The query echo and the word list, built without streaming."""
+    query = cli._build_query(cli.build_parser().parse_args(
+        ["enumerate", *argv]))
+    words = [list(w) for w in enumerate_words(query)]
+    return cli._query_echo(query), words
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    """Equal texts; a mismatch names its first offset, since pytest's own
+    diff of two long strings takes minutes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        lo = max(at - 40, 0)
+        raise AssertionError(f"texts differ at offset {at}: "
+                             f"{got[lo:at + 40]!r} != {want[lo:at + 40]!r}")
+
+
+@pytest.mark.parametrize("argv", ENUMERATE_ARGVS, ids=" ".join)
+def test_enumerate_streams_the_whole_payload(capsys, argv):
+    echo, words = _whole_payload(argv)
+    code, out, _ = run(capsys, "enumerate", *argv)
+    assert code == 0
+    _assert_same_text(out, json.dumps({"query": echo, "words": words}) + "\n")
+    code, out, _ = run(capsys, "enumerate", *argv, "--format", "csv")
+    assert code == 0
+    _assert_same_text(out, "".join(",".join(str(v) for v in word) + "\n"
+                                   for word in words))
 
 
 def test_table_stressed3(capsys):
@@ -298,6 +341,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "count", "--ell", "4")
         assert code == 2
         assert "infinitely" in err
+
+    def test_enumerate_usage_error_prints_nothing(self, capsys):
+        for fmt in ("json", "csv"):
+            code, out, err = run(capsys, "enumerate", "--ell", "4",
+                                 "--format", fmt)
+            assert code == 2
+            assert out == ""
+            assert "infinitely" in err
 
     def test_hom_needs_exactly_one_source(self, capsys):
         assert run(capsys, "hom", "--q", "3")[0] == 2

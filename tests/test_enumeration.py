@@ -63,10 +63,24 @@ def test_frobenius_five_exactly():
 
 @pytest.mark.parametrize("f", range(1, 14))
 def test_enumeration_matches_oracle(f):
+    # the engine's order is ascending tuple order, so no sort on its side
     oracle = sorted(brute_frobenius(f))
-    engine = sorted(enumerate_words(CountQuery(frobenius=f)))
+    engine = list(enumerate_words(CountQuery(frobenius=f)))
     assert engine == oracle
+    assert all(type(w) is KunzWord for w in engine)
     assert count_words(CountQuery(frobenius=f)) == len(oracle)
+
+
+def test_cell_words_match_walker():
+    # the product structure of the closed depth <= 3 cells against the
+    # walker, word for word and in order, the empty q = 1 cells included
+    for length in range(1, 15):
+        for q in (1, 2, 3):
+            for j in range(1, length + 1):
+                scan = enumeration._frobenius_scan(length, q, j)
+                want = list(enumeration._words(scan))
+                assert list(enumeration._cell_words(scan)) == want
+                assert q > 1 or len(want) == (j == length)
 
 
 FILTER_QUERIES = [
