@@ -2,11 +2,10 @@
 
 The growth constants are c_q = sqrt(floor((q+2)^2/4)); everything here keeps
 their squares as exact integers, so every inequality involving them reduces to
-integer arithmetic.  Comparisons that would require astronomically large
-integers are settled by dyadic interval arithmetic with outward rounding and
-escalating precision: an inequality is only ever reported as verified when the
-intervals separate (or the exact fallback decides), so no floating-point
-comparison ever decides anything.
+integer arithmetic.  A monotonicity comparison is first tried by a certified
+first-order log test, which is itself integer arithmetic, and any instance it
+leaves open is decided by comparing the two products as exact integers, so no
+floating-point comparison ever decides anything.
 """
 
 from __future__ import annotations
@@ -15,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, sqrt
 from typing import NamedTuple
+
+from .enumeration import TailHeavySpec
 
 __all__ = [
     "CqValue",
@@ -55,55 +56,6 @@ def cq(q: int) -> CqValue:
 # ---------------------------------------------------------------------------
 
 
-def _trim(mant: int, exp: int, prec: int, up: bool) -> tuple[int, int]:
-    """Round a positive dyadic (mant * 2^exp) to prec mantissa bits."""
-    extra = mant.bit_length() - prec
-    if extra <= 0:
-        return mant, exp
-    if up:
-        return -((-mant) >> extra), exp + extra
-    return mant >> extra, exp + extra
-
-
-def _imul(a: tuple[int, int, int, int], b: tuple[int, int, int, int],
-          prec: int) -> tuple[int, int, int, int]:
-    alo, ael, ahi, aeh = a
-    blo, bel, bhi, beh = b
-    lo, el = _trim(alo * blo, ael + bel, prec, up=False)
-    hi, eh = _trim(ahi * bhi, aeh + beh, prec, up=True)
-    return lo, el, hi, eh
-
-
-def _ipow(base: int, exp: int, prec: int) -> tuple[int, int, int, int]:
-    """Outward-rounded dyadic interval enclosing base**exp (base >= 1)."""
-    acc = (1, 0, 1, 0)
-    if exp == 0:
-        return acc
-    unit = (base, 0, base, 0)
-    for bit in bin(exp)[2:]:
-        acc = _imul(acc, acc, prec)
-        if bit == "1":
-            acc = _imul(acc, unit, prec)
-    return acc
-
-
-def _iproduct(factors, prec: int) -> tuple[int, int, int, int]:
-    acc = (1, 0, 1, 0)
-    for base, exp in factors:
-        acc = _imul(acc, _ipow(base, exp, prec), prec)
-    return acc
-
-
-def _dyadic_gt(m1: int, e1: int, m2: int, e2: int) -> bool:
-    if e1 >= e2:
-        return (m1 << (e1 - e2)) > m2
-    return m1 > (m2 << (e2 - e1))
-
-
-def _estimated_bits(factors) -> int:
-    return sum(exp * base.bit_length() for base, exp in factors)
-
-
 def _exact_greater(left, right) -> bool:
     """Whether prod(b^e for left) > prod(b^e for right), in exact integers."""
     lv = 1
@@ -113,29 +65,6 @@ def _exact_greater(left, right) -> bool:
     for base, exp in right:
         rv *= base ** exp
     return lv > rv
-
-
-def _strictly_greater(left, right) -> bool:
-    """Whether prod(b^e for left) > prod(b^e for right), decided rigorously.
-
-    ``left`` and ``right`` are sequences of (base, exponent) pairs with
-    integer base >= 1 and exponent >= 0.  Small instances are compared as
-    exact integers outright; large ones through interval enclosures whose
-    precision escalates until the intervals separate, with the exact
-    comparison as a final fallback.
-    """
-    left = list(left)
-    right = list(right)
-    if max(_estimated_bits(left), _estimated_bits(right)) <= 30_000:
-        return _exact_greater(left, right)
-    for prec in (64, 128, 256, 512, 1024):
-        llo, lel, lhi, leh = _iproduct(left, prec)
-        rlo, rel, rhi, reh = _iproduct(right, prec)
-        if _dyadic_gt(llo, lel, rhi, reh):
-            return True
-        if _dyadic_gt(rlo, rel, lhi, leh):
-            return False
-    return _exact_greater(left, right)
 
 
 def _log_dominates(s_small: int, s_big: int, k: Fraction) -> bool:
@@ -193,8 +122,14 @@ def check_c_monotone(q_max: int = 10_000, r_grid=(0, Fraction(1, 2), 1),
     sign of (A-B)(q-r) - B with A = ln c_q and B = ln c_{q-1}, the same for
     every t, so ln s_{q-1} > (q-r) ln(s_q/s_{q-1}) makes F strictly
     decreasing on the whole grid.  :func:`_log_dominates` settles most
-    instances of either from first-order bounds; the rest go to
-    :func:`_strictly_greater`.  The comparison counts include both.
+    instances of either from first-order bounds; every other instance is
+    decided by :func:`_exact_greater` in exact integers.  The comparison
+    counts include both.
+
+    The log test fails only at small q (q <= 4 on every grid tried), but
+    the exponents it leaves to the exact route grow with the r- and
+    t-denominators: grids with denominators in the millions would build
+    very large integers there.
 
     Returns a report carrying the first violated instance, if any.
     """
@@ -219,8 +154,8 @@ def check_c_monotone(q_max: int = 10_000, r_grid=(0, Fraction(1, 2), 1),
             seq += 1
             if _log_dominates(s_lo, s_hi, q + r):
                 continue
-            if not _strictly_greater([(s_lo, b * (q + 1) + a)],
-                                     [(s_hi, b * q + a)]):
+            if not _exact_greater([(s_lo, b * (q + 1) + a)],
+                                  [(s_hi, b * q + a)]):
                 violation = (f"sequence failed at q={q}, r={r}: "
                              f"{s_lo}^{b*(q+1)+a} <= {s_hi}^{b*q+a}")
                 break
@@ -248,7 +183,7 @@ def check_c_monotone(q_max: int = 10_000, r_grid=(0, Fraction(1, 2), 1),
                 for (u1, e1), (u2, e2) in zip(zip(u_values, exps),
                                               zip(u_values[1:], exps[1:])):
                     interp += 1
-                    if not _strictly_greater(
+                    if not _exact_greater(
                             [(s_q, u1 * e2), (s_p, (denom - u1) * e2)],
                             [(s_q, u2 * e1), (s_p, (denom - u2) * e1)]):
                         violation = (
@@ -311,13 +246,11 @@ def tail_heavy_bound(length: int, tail_width: int, depth: int) -> Fraction:
     The irrational exponent is rounded down to L + isqrt(L) + 10 and the
     leftover half-power of the squared constant is replaced by a rational
     lower bound, so the returned value never exceeds the true bound; a count
-    at or below it is therefore certainly dominated.  The parameters obey
-    the rules of :class:`~kunzlab.enumeration.TailHeavySpec`.
+    at or below it is therefore certainly dominated.  The parameters are
+    checked by :class:`~kunzlab.enumeration.TailHeavySpec`, which raises
+    ``ValueError`` on any it rejects.
     """
-    if not 1 <= tail_width <= length:
-        raise ValueError("tail width must lie in 1..length")
-    if depth < 2:
-        raise ValueError("depth must be at least 2")
+    TailHeavySpec(length, tail_width, depth)
     s = cq(depth).squared
     e = length + isqrt(length) + 10
     value = Fraction(s) ** (e // 2)

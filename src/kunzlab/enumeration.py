@@ -52,7 +52,7 @@ import heapq
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, product
+from itertools import accumulate, islice, product
 from math import comb, isqrt
 from multiprocessing import Pool
 
@@ -256,13 +256,21 @@ def _cell_words(scan: Scan):
             for tail in product((1, 2), repeat=length - j))
 
 
-def _fold(task: tuple[Scan, tuple[int, ...]]) -> list[int]:
-    """Genus histogram, indexed by genus, of one scan's words below a prefix."""
-    scan, prefix = task
+def _fold(task: tuple[Scan, int, int]) -> list[int]:
+    """Genus histogram, indexed by genus, of one share of a scan's words.
+
+    The task ``(scan, share, shares)`` holds the words below every
+    ``shares``-th depth-2 prefix from the ``share``-th on; ``(scan, 0, 1)``
+    is the whole scan.
+    """
+    scan, share, shares = task
+    prefixes = ([()] if shares == 1
+                else islice(_words(scan, 2), share, None, shares))
     diff = [0] * (sum(scan[1]) + 2)
-    for _, gsum, lb, ub in _walk(scan, prefix):
-        diff[gsum + lb] += 1
-        diff[gsum + ub + 1] -= 1
+    for prefix in prefixes:
+        for _, gsum, lb, ub in _walk(scan, prefix):
+            diff[gsum + lb] += 1
+            diff[gsum + ub + 1] -= 1
     return list(accumulate(diff))
 
 
@@ -272,7 +280,7 @@ def _walked_histogram(query: CountQuery) -> dict[int, int]:
     No closed form enters: this is the reference that the closed genus
     polynomials of :func:`_closed_form` are tested against.
     """
-    return _sum(_fold((scan, ())) for scan in _plans(query))
+    return _sum(_fold((scan, 0, 1)) for scan in _plans(query))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +336,7 @@ def _solve(scan: Scan) -> list[int]:
     """Genus histogram of a whole scan: its closed form when it has one."""
     profile = _closed_profile(scan)
     if profile is None:
-        return _fold((scan, ()))
+        return _fold((scan, 0, 1))
     return _closed_form(scan[0], *profile)
 
 
@@ -338,37 +346,44 @@ def _solve(scan: Scan) -> list[int]:
 
 
 def _tasks(query: CountQuery, threads: int):
-    """The query's ``(scan, prefix)`` tasks and its worker count.
+    """The query's serial scans, its pooled tasks and its worker count.
 
-    Returns (serial, pooled, workers).  The worker count is ``threads``
-    capped at the cores available and at the number of pooled tasks.  With
-    more than one worker, every walked scan of length 4 or more is split at
-    its depth-2 prefixes for the pool; shorter scans, scans with a closed
-    form, and everything when one worker is left, run whole in the caller.
+    Returns (serial, pooled, workers).  ``threads`` is capped at the cores
+    available.  With more than one worker left, every walked scan of length
+    4 or more becomes one ``(scan, share, workers)`` task per worker (see
+    :func:`_fold`) for the pool, and the worker count is that cap.  Shorter
+    scans, scans with a closed form, and everything when one worker is
+    left, run whole in the caller; with nothing pooled the count is 1.
     """
     threads = min(threads, os.cpu_count() or 1)
-    serial, pooled = [], []
+    serial, split = [], []
     for scan in _plans(query):
         if threads <= 1 or scan[0] < 4 or _closed_profile(scan):
-            serial.append((scan, ()))
+            serial.append(scan)
         else:
-            pooled += [(scan, pre) for pre in _words(scan, 2)]
-    return serial, pooled, min(threads, len(pooled)) if pooled else 1
+            split.append(scan)
+    workers = threads if split else 1
+    pooled = [(scan, share, workers)
+              for scan in split for share in range(workers)]
+    return serial, pooled, workers
 
 
 def pool_size(query: CountQuery, threads: int = 1) -> int:
-    """Worker processes the engine starts for the query; 1 when it runs serially."""
+    """Worker processes the engine starts for the query; 1 when it runs serially.
+
+    Read from the plans alone: no scan is walked to find it.
+    """
     return _tasks(query, threads)[2]
 
 
 def _parts(query: CountQuery, threads: int) -> list[tuple[int, list[int]]]:
     """``(word length, genus histogram)`` of every task of the query."""
     serial, pooled, workers = _tasks(query, threads)
-    parts = [(scan[0], _solve(scan)) for scan, _ in serial]
+    parts = [(scan[0], _solve(scan)) for scan in serial]
     if pooled:
         with Pool(processes=workers) as pool:
             hists = pool.map(_fold, pooled)
-        parts += [(scan[0], hist) for (scan, _), hist in zip(pooled, hists)]
+        parts += [(scan[0], hist) for (scan, _, _), hist in zip(pooled, hists)]
     return parts
 
 
@@ -397,8 +412,8 @@ def genus_histogram(query: CountQuery, threads: int = 1) -> dict[int, int]:
 
     Unfiltered cells come from closed genus polynomials.
     With ``threads > 1`` the walked scans of length 4 or more run on one
-    pool of :func:`pool_size` worker processes; the result does not depend
-    on it.
+    pool of :func:`pool_size` worker processes, each scan as one share of
+    its depth-2 prefixes per worker; the result does not depend on it.
     """
     return _histogram(query, threads)
 

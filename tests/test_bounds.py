@@ -93,6 +93,19 @@ def test_repeated_t_is_still_a_violation():
     assert report.violation == "interpolation failed at q=3, r=0, t=1/2..1/2"
 
 
+def test_large_exponent_grid_is_decided_exactly():
+    # the denominators 3 and 7 make the 20 instances the log test leaves
+    # open products of up to some 50,000 bits, all decided in exact integers
+    report = check_c_monotone(
+        3000, r_grid=(0, Fraction(1, 3), Fraction(2, 7), 1),
+        t_grid=(0, Fraction(1, 7), Fraction(1, 3), 1),
+        interpolation_q_max=400)
+    assert report.ok
+    assert report.violation is None
+    assert report.sequence_comparisons == 11_992
+    assert report.interpolation_comparisons == 4_776
+
+
 def test_monotonicity_guards():
     with pytest.raises(ValueError):
         check_c_monotone(2)

@@ -160,7 +160,8 @@ def test_threaded_counts_agree(threads):
     for q in (CountQuery(frobenius=16), CountQuery(frobenius=24),
               CountQuery(frobenius=24, med=True),
               CountQuery(length=7, depth_max=3),
-              CountQuery(length=7, depth_exact=3)):
+              CountQuery(length=7, depth_exact=3),
+              CountQuery(length=4, depth_max=40)):
         assert count_words(q, threads=threads) == count_words(q)
         assert count_and_genus(q, threads=threads) == count_and_genus(q)
         assert genus_histogram(q, threads=threads) == genus_histogram(q)
@@ -198,6 +199,36 @@ def test_one_pool_per_call(monkeypatch):
     assert enumeration.pool_size(CountQuery(frobenius=20), 2) == 1
     assert enumeration.pool_size(CountQuery(frobenius=24), 2) == 1
     assert enumeration.pool_size(query, 1) == 1
+
+
+def test_one_pool_task_per_worker(monkeypatch):
+    mapped = []
+    real_pool = enumeration.Pool
+
+    def recording_pool(*args, **kwargs):
+        pool = real_pool(*args, **kwargs)
+        real_map = pool.map
+
+        def record(fn, tasks, *rest):
+            mapped.append(list(tasks))
+            return real_map(fn, mapped[-1], *rest)
+
+        pool.map = record
+        return pool
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr("kunzlab.enumeration.Pool", recording_pool)
+    # a depth bound is one walked box: one share of it per worker
+    box = CountQuery(length=7, depth_max=3)
+    assert count_words(box, threads=2) == count_words(box)
+    assert len(mapped) == 1 and len(mapped[0]) == 2
+    # two shares for every walked scan of length 4 or more
+    med = CountQuery(frobenius=24, med=True)
+    walked = [scan for scan in enumeration._plans(med)
+              if scan[0] >= 4 and enumeration._closed_profile(scan) is None]
+    assert walked
+    assert count_words(med, threads=2) == count_words(med)
+    assert len(mapped) == 2 and len(mapped[1]) == 2 * len(walked)
 
 
 def test_pool_size_is_capped_at_the_cores(monkeypatch):
@@ -269,7 +300,7 @@ def test_closed_genus_polynomials_match_walker():
         depth4 += profile[0] == 4
         deep += profile[0] >= 5
         assert _trimmed(enumeration._closed_form(scan[0], *profile)) == \
-            _trimmed(enumeration._fold((scan, ())))
+            _trimmed(enumeration._fold((scan, 0, 1)))
     assert closed > 300
     assert depth4 >= 78
     assert deep >= 132
