@@ -4,139 +4,14 @@ embedding dimension, homomorphism-based upper bounds, rigorous constant
 brackets, and exact distribution statistics.
 """
 
-from .bounds import (
-    CqValue,
-    GenericBounds,
-    MonotonicityReport,
-    StressedBounds,
-    check_c_monotone,
-    cq,
-    depth_count_bound,
-    frobenius_bound_dominates,
-    generic_bounds,
-    growth_rate,
-    stressed3_upper_bounds,
-    tail_heavy_bound,
-)
-from .enumeration import (
-    TailHeavySpec,
-    closed_k2,
-    closed_k3,
-    count_and_genus,
-    count_by_length,
-    count_depth_le3,
-    count_stressed3,
-    count_words,
-    enumerate_words,
-    genus_histogram,
-    is_tail_heavy,
-    lower_bound_family,
-    med_count,
-    schur_colorings,
-    stressed3_genus_total,
-    tail_heavy_count,
-)
-from .graphs import (
-    LabeledGraph,
-    complete_bipartite,
-    degree_deficit,
-    graph_from_text,
-    graph_to_text,
-    heavy_index_graph,
-    hom_count,
-    hom_kdd,
-    regularize,
-    threshold_graph,
-    threshold_target,
-)
-from .stats import (
-    Distribution,
-    ExactBracket,
-    GenusStats,
-    backelin_bracket,
-    genus_stats,
-    limit_mult_mass,
-    mu_gamma_partial,
-    mult_distribution,
-    stressed3_avg_genus,
-)
-from .words import (
-    CountQuery,
-    KunzWord,
-    SemigroupInvariants,
-    contains,
-    gaps_from_word,
-    invariants,
-    is_kunz,
-    is_med,
-    med_drop,
-    med_lift,
-    reduce_depth,
-    word_from_gaps,
-)
+from . import bounds, enumeration, graphs, stats, words
+from .bounds import *
+from .enumeration import *
+from .graphs import *
+from .stats import *
+from .words import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CountQuery",
-    "CqValue",
-    "Distribution",
-    "ExactBracket",
-    "GenericBounds",
-    "GenusStats",
-    "KunzWord",
-    "LabeledGraph",
-    "MonotonicityReport",
-    "SemigroupInvariants",
-    "StressedBounds",
-    "TailHeavySpec",
-    "__version__",
-    "backelin_bracket",
-    "check_c_monotone",
-    "closed_k2",
-    "closed_k3",
-    "complete_bipartite",
-    "contains",
-    "count_and_genus",
-    "count_by_length",
-    "count_depth_le3",
-    "count_stressed3",
-    "count_words",
-    "cq",
-    "degree_deficit",
-    "depth_count_bound",
-    "enumerate_words",
-    "frobenius_bound_dominates",
-    "gaps_from_word",
-    "generic_bounds",
-    "genus_histogram",
-    "genus_stats",
-    "graph_from_text",
-    "graph_to_text",
-    "growth_rate",
-    "heavy_index_graph",
-    "hom_count",
-    "hom_kdd",
-    "invariants",
-    "is_kunz",
-    "is_med",
-    "is_tail_heavy",
-    "limit_mult_mass",
-    "lower_bound_family",
-    "med_count",
-    "med_drop",
-    "med_lift",
-    "mu_gamma_partial",
-    "mult_distribution",
-    "reduce_depth",
-    "regularize",
-    "schur_colorings",
-    "stressed3_avg_genus",
-    "stressed3_genus_total",
-    "stressed3_upper_bounds",
-    "tail_heavy_bound",
-    "tail_heavy_count",
-    "threshold_graph",
-    "threshold_target",
-    "word_from_gaps",
-]
+__all__ = [*bounds.__all__, *enumeration.__all__, *graphs.__all__,
+           *stats.__all__, *words.__all__, "__version__"]

@@ -21,6 +21,7 @@ __all__ = [
     "CqValue",
     "GenericBounds",
     "MonotonicityReport",
+    "StressedBounds",
     "check_c_monotone",
     "cq",
     "depth_count_bound",

@@ -10,6 +10,8 @@ success, 1 when a verification fails, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import sys
@@ -52,11 +54,18 @@ def _add_query_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker count, at most the cores available "
-                             "(default: all available cores)")
+                        help="worker processes for the walked scans of "
+                             "length 4 or more (MED, --contains, a length "
+                             "with --depth-max), at most the cores available "
+                             "(default: all available cores); an unfiltered "
+                             "Frobenius query, and so every dist, has a "
+                             "closed form and runs serially")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused:
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="kunzlab",
         description="Exact counting and verification for numerical "
@@ -147,12 +156,11 @@ def _build_query(args) -> CountQuery:
 
 def _query_echo(query: CountQuery) -> dict:
     echo = {}
-    for field in ("frobenius", "length", "depth_exact", "depth_max",
-                  "stressed", "med", "contains"):
-        value = getattr(query, field)
+    for field in dataclasses.fields(query):
+        value = getattr(query, field.name)
         if value is None or value is False or value == ():
             continue
-        echo[field] = list(value) if isinstance(value, tuple) else value
+        echo[field.name] = list(value) if isinstance(value, tuple) else value
     return echo
 
 

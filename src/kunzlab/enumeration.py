@@ -34,9 +34,11 @@ array.  Enumeration mirrors that split (:func:`_cell_words`): a closed cell
 of depth at most 3 yields its words from the product its closed form
 describes (a free {1,2} head at q = 2; the stressed depth-3 words of length
 j, walked, times free {1,2} tails at q = 3), and every other scan expands
-the walker's ranges into words.  For parallel work the same walker, stopped
-at depth 2, splits the long searched scans into (scan, prefix) tasks, and
-every task of a call runs on one worker pool.
+the walker's ranges into words.  For parallel work every walked scan of
+length 4 or more becomes one (scan, share, shares) task per worker: each
+worker takes every shares-th of the depth-2 prefixes that the same walker,
+stopped there, yields (:func:`_fold`), and every task of a call runs on one
+worker pool.
 :func:`_walked_histogram` folds every scan through the walker alone: it is
 the oracle the closed forms are checked against.
 
@@ -55,6 +57,7 @@ from functools import lru_cache, partial
 from itertools import accumulate, islice, product
 from math import comb, isqrt
 from multiprocessing import Pool
+from operator import ge
 
 from .words import CountQuery, KunzWord
 
@@ -72,7 +75,6 @@ __all__ = [
     "is_tail_heavy",
     "lower_bound_family",
     "med_count",
-    "pool_size",
     "schur_colorings",
     "stressed3_genus_total",
     "tail_heavy_count",
@@ -122,7 +124,9 @@ def _plans(query: CountQuery) -> list[Scan]:
     would each need a subset scan, which loses to the walker when q is much
     larger than the length.  The depth and stressed filters drop cells;
     ``contains`` (a lowered cap) and MED (strict inequalities) change them,
-    and a changed cell is walked.
+    and a changed cell is walked.  A scan with a cap below its floor (a
+    q = 1 cell longer than f, or a cap that ``contains`` lowered) holds no
+    words and is dropped, so it is neither walked nor pooled.
     """
     if not query.is_finite:
         raise ValueError("query must fix the Frobenius number, or a length "
@@ -130,15 +134,19 @@ def _plans(query: CountQuery) -> list[Scan]:
     if any(n < 0 for n in query.contains):
         return []
 
-    def filtered(scan: Scan) -> Scan:
-        length, caps, floors = scan[:3]
-        m = length + 1
-        caps = list(caps)
-        for n in query.contains:
-            r = n % m
-            if r:
-                caps[r - 1] = min(caps[r - 1], n // m)
-        return length, tuple(caps), floors, 1 if query.med else 0
+    def planned(scans) -> list[Scan]:
+        strict = 1 if query.med else 0
+        plans = []
+        for length, caps, floors, _ in scans:
+            m = length + 1
+            caps = list(caps)
+            for n in query.contains:
+                r = n % m
+                if r:
+                    caps[r - 1] = min(caps[r - 1], n // m)
+            if all(map(ge, caps, floors)):
+                plans.append((length, tuple(caps), floors, strict))
+        return plans
 
     f, length = query.frobenius, query.length
     if f is None:
@@ -147,7 +155,7 @@ def _plans(query: CountQuery) -> list[Scan]:
             if length < 1:
                 return []
             box = (query.depth_max,) * length
-            return [filtered((length, box, (1,) * length, 0))]
+            return planned([(length, box, (1,) * length, 0)])
         cells = [(length, query.depth_exact, j) for j in range(1, length + 1)]
     else:
         cells = []
@@ -155,10 +163,10 @@ def _plans(query: CountQuery) -> list[Scan]:
             profile = _depth_profile(f, ell) if ell >= 1 and f >= 1 else None
             if profile is not None:
                 cells.append((ell, *profile))
-    return [filtered(_frobenius_scan(ell, q, j)) for ell, q, j in cells
-            if (query.depth_exact is None or q == query.depth_exact)
-            and (query.depth_max is None or q <= query.depth_max)
-            and (j == ell or not query.stressed)]
+    return planned(_frobenius_scan(ell, q, j) for ell, q, j in cells
+                   if (query.depth_exact is None or q == query.depth_exact)
+                   and (query.depth_max is None or q <= query.depth_max)
+                   and (j == ell or not query.stressed))
 
 
 # ---------------------------------------------------------------------------

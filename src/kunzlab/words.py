@@ -24,6 +24,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+__all__ = [
+    "CountQuery",
+    "KunzWord",
+    "SemigroupInvariants",
+    "contains",
+    "gaps_from_word",
+    "invariants",
+    "is_kunz",
+    "is_med",
+    "med_drop",
+    "med_lift",
+    "reduce_depth",
+    "word_from_gaps",
+]
+
 GapSet = frozenset  # finite set of positive integers missing from the semigroup
 
 

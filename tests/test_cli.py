@@ -289,6 +289,10 @@ def test_count_of_an_empty_depth1_cell(capsys):
     assert json.loads(out)["count"] == 0
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_workers_reports_processes_started(capsys):
     # a length-3 scan always runs serially, whatever the request
     code, _, err = run(capsys, "count", "--f", "9", "--ell", "3",
@@ -312,6 +316,13 @@ def test_workers_reports_processes_started(capsys):
                        "--threads", "2")
     assert code == 0
     assert err.rstrip().endswith(" workers=2")
+    # the MED cell of f = 6 at length 14 has caps of 0 after position 6:
+    # it holds no words, so it is not planned and starts no workers
+    code, out, err = run(capsys, "count", "--f", "6", "--m", "15", "--med",
+                         "--threads", "2")
+    assert code == 0
+    assert json.loads(out)["count"] == 0
+    assert err.rstrip().endswith(" workers=1")
     # a length query with an exact depth is a union of closed cells
     code, _, err = run(capsys, "count", "--ell", "7", "--depth", "3",
                        "--threads", "2")

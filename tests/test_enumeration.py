@@ -246,6 +246,26 @@ def test_pool_size_is_capped_at_the_cores(monkeypatch):
     assert count_words(med, threads=2) == count_words(med)
 
 
+def test_plans_hold_only_scans_with_words(monkeypatch):
+    # a cap below its floor leaves a scan without words: a q = 1 cell
+    # longer than f, or a cap that contains lowered below 1, or below q at
+    # the last q's position; no such scan is planned, walked or pooled
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    med = CountQuery(frobenius=6, length=14, med=True)
+    assert enumeration.pool_size(med, 2) == 1
+    assert len(enumeration._plans(CountQuery(frobenius=22, contains=(6,)))) == 3
+    assert len(enumeration._plans(CountQuery(frobenius=30, contains=(7,)))) == 2
+    for query in (med, CountQuery(frobenius=6, length=14),
+                  CountQuery(frobenius=22, contains=(6,)),
+                  CountQuery(frobenius=30, contains=(7,)),
+                  CountQuery(frobenius=20, contains=(3, 11)),
+                  CountQuery(frobenius=29, length=9, contains=(4,)),
+                  CountQuery(length=6, depth_exact=3, contains=(5,)),
+                  CountQuery(length=6, depth_max=3, contains=(2,))):
+        for _, caps, floors, _ in enumeration._plans(query):
+            assert all(cap >= floor for cap, floor in zip(caps, floors))
+
+
 def test_infinite_query_rejected():
     with pytest.raises(ValueError):
         count_words(CountQuery(length=4))
