@@ -288,7 +288,8 @@ def _cmd_hom(args, out) -> int:
         _emit_json({"d": args.d, "q": args.q, "count": count}, out)
         return 0
     with open(args.graph, encoding="utf-8") as handle:
-        graph = gr.graph_from_text(handle.read())
+        # hom_count's guard, checked before one set per vertex is built
+        graph = gr.graph_from_text(handle.read(), max_vertices=12)
     count = gr.hom_count(graph, gr.threshold_target(args.q))
     _emit_json({"vertices": graph.vertex_count, "q": args.q,
                 "count": count}, out)

@@ -177,6 +177,11 @@ def degree_deficit(graph: LabeledGraph, d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _guard(n: int, max_vertices: int) -> None:
+    if n > max_vertices:
+        raise ValueError(f"pattern has {n} vertices; guard is {max_vertices}")
+
+
 def hom_count(pattern: LabeledGraph, target: LabeledGraph,
               max_vertices: int = 12) -> int:
     """Number of maps V(pattern) -> V(target) preserving adjacency.
@@ -191,8 +196,7 @@ def hom_count(pattern: LabeledGraph, target: LabeledGraph,
     rejects patterns with more than ``max_vertices`` vertices.
     """
     n = pattern.vertex_count
-    if n > max_vertices:
-        raise ValueError(f"pattern has {n} vertices; guard is {max_vertices}")
+    _guard(n, max_vertices)
     if n == 0:
         return 1
     tn = target.vertex_count
@@ -385,8 +389,13 @@ def graph_to_text(graph: LabeledGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_from_text(text: str) -> LabeledGraph:
-    """Inverse of :func:`graph_to_text` (labels are not carried)."""
+def graph_from_text(text: str,
+                    max_vertices: int | None = None) -> LabeledGraph:
+    """Inverse of :func:`graph_to_text` (labels are not carried).
+
+    A vertex count above ``max_vertices`` is refused, with the message of
+    :func:`hom_count`'s guard, before the graph is built.
+    """
     vertex_count = None
     red: list[int] = []
     edges: list[tuple[int, int]] = []
@@ -406,4 +415,6 @@ def graph_from_text(text: str) -> LabeledGraph:
     if vertex_count is None:
         vertex_count = max((max(u, v) for u, v in edges), default=0)
         vertex_count = max(vertex_count, max(red, default=0))
+    if max_vertices is not None:
+        _guard(vertex_count, max_vertices)
     return LabeledGraph(vertex_count, edges, red=red)

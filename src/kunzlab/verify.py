@@ -8,9 +8,10 @@ line's ``verify`` subcommand and ``tests/test_acceptance.py`` both run these
 same functions, so there is a single source of truth for "does the build
 hold up".
 
-The brute-force oracles used here (product-loop homomorphism counting, the
-labeled regular-graph generator, the isomorphism tester) are deliberately
-independent of the fast paths they validate.
+The brute-force oracles used here (product-loop homomorphism counting, and
+the hom suite's orbit census, which sorts every labeled regular graph on up
+to 8 vertices into classes by the relabelings of the classes found so far)
+are deliberately independent of the fast paths they validate.
 """
 
 from __future__ import annotations
@@ -209,104 +210,35 @@ def _hom_oracle(pattern: gr.LabeledGraph, target: gr.LabeledGraph) -> int:
 
 
 def _labeled_regular(n: int, d: int):
-    """Yield the edge tuple of every loop-free d-regular graph on 1..n."""
+    """Yield the edge tuple of every loop-free d-regular graph on 1..n.
+
+    The lowest vertex still below degree d takes its missing neighbours from
+    the higher vertices still below d, so each graph comes once, with its
+    edges in lexicographic order.
+    """
     if d >= n or (n * d) % 2:
         return
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    m = len(pairs)
-    # remaining[v][i]: pairs at index >= i that touch v
-    remaining = [[0] * (m + 1) for _ in range(n + 1)]
-    for v in range(1, n + 1):
-        for i in range(m - 1, -1, -1):
-            remaining[v][i] = remaining[v][i + 1] + (v in pairs[i])
-    deg = [0] * (n + 1)
-    chosen: list[tuple[int, int]] = []
 
-    def rec(i: int):
-        for v in range(1, n + 1):
-            if deg[v] + remaining[v][i] < d:
-                return
-        if i == m:
-            yield tuple(chosen)
+    def rec(deg: list[int], edges: tuple):
+        low = next((u for u in range(1, n + 1) if deg[u] < d), None)
+        if low is None:
+            yield edges
             return
-        u, v = pairs[i]
-        if deg[u] < d and deg[v] < d:
-            deg[u] += 1
-            deg[v] += 1
-            chosen.append(pairs[i])
-            yield from rec(i + 1)
-            chosen.pop()
-            deg[u] -= 1
-            deg[v] -= 1
-        yield from rec(i + 1)
+        free = [v for v in range(low + 1, n + 1) if deg[v] < d]
+        for picked in itertools.combinations(free, d - deg[low]):
+            after = deg.copy()
+            after[low] = d
+            for v in picked:
+                after[v] += 1
+            yield from rec(after, edges + tuple((low, v) for v in picked))
 
-    yield from rec(0)
+    yield from rec([0] * (n + 1), ())
 
 
-def _vertex_colors(n: int, adj: list[set]) -> list:
-    """Isomorphism-invariant vertex certificates (index 1..n; [0] unused)."""
-    tri = [0] * (n + 1)
-    for v in range(1, n + 1):
-        tri[v] = sum(1 for x, y in itertools.combinations(sorted(adj[v]), 2)
-                     if x in adj[y])
-    colors: list = [None] * (n + 1)
-    for v in range(1, n + 1):
-        common = sorted(len(adj[v] & adj[u])
-                        for u in range(1, n + 1) if u != v)
-        colors[v] = (len(adj[v]), tri[v], tuple(common))
-    return colors
-
-
-def _isomorphic(n: int, adj_a: list[set], adj_b: list[set],
-                col_a: list, col_b: list) -> bool:
-    """Backtracking isomorphism test with certificate-constrained candidates."""
-    if sorted(col_a[1:]) != sorted(col_b[1:]):
-        return False
-    # order A's vertices so each one (after the first of a component) touches
-    # a previously placed vertex, which makes the adjacency pruning bite
-    order: list[int] = []
-    seen = set()
-    for start in sorted(range(1, n + 1), key=lambda v: col_a[v]):
-        if start in seen:
-            continue
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in sorted(adj_a[v]):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    mapping = {}
-    used = set()
-
-    def place(i: int) -> bool:
-        if i == n:
-            return True
-        a = order[i]
-        for b in range(1, n + 1):
-            if b in used or col_b[b] != col_a[a]:
-                continue
-            if all((w in adj_a[a]) == (img in adj_b[b])
-                   for w, img in mapping.items()):
-                mapping[a] = b
-                used.add(b)
-                if place(i + 1):
-                    return True
-                del mapping[a]
-                used.discard(b)
-        return False
-
-    return place(0)
-
-
-def _adjacency(n: int, edges) -> list[set]:
-    adj = [set() for _ in range(n + 1)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+def _orbit(n: int, edges, bit: list[list[int]]):
+    """Yield the edge-bit mask of every relabeling of the graph on 1..n."""
+    for p in itertools.permutations(range(1, n + 1)):
+        yield sum(bit[p[u - 1]][p[v - 1]] for u, v in edges)
 
 
 def _random_bounded_graph(rng: random.Random) -> tuple[gr.LabeledGraph, int]:
@@ -371,25 +303,33 @@ def check_hom_suite() -> CheckResult:
                                    f"d={d}, q={q}")
             trials += 1
 
-        # the power inequality on every loop-free regular graph up to 8
+        # the power inequality on every loop-free regular graph up to 8, one
+        # graph per class.  `left` holds the relabelings of the classes found
+        # so far that are still to come; a graph not in it starts a class,
+        # unless an earlier class's first graph is among its relabelings,
+        # which makes it a repeat
         labeled = 0
         classes = 0
         for n in range(2, 9):
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            bit = [[0] * (n + 1) for _ in range(n + 1)]
+            for i, (u, v) in enumerate(pairs):
+                bit[u][v] = bit[v][u] = 1 << i
             for d in range(1, 4):
-                buckets: dict = {}
+                left: set[int] = set()
+                reps: list[int] = []
                 for edges in _labeled_regular(n, d):
                     labeled += 1
-                    adj = _adjacency(n, edges)
-                    colors = _vertex_colors(n, adj)
-                    key = tuple(sorted(colors[1:]))
-                    hit = False
-                    for rep_adj, rep_colors in buckets.get(key, ()):
-                        if _isomorphic(n, adj, rep_adj, colors, rep_colors):
-                            hit = True
-                            break
-                    if hit:
+                    mask = sum(bit[u][v] for u, v in edges)
+                    if mask in left:
+                        left.remove(mask)
                         continue
-                    buckets.setdefault(key, []).append((adj, colors))
+                    left.update(_orbit(n, edges, bit))
+                    if any(rep in left for rep in reps):
+                        return False, (f"the {d}-regular graph {edges} on "
+                                       f"{n} vertices was generated twice")
+                    left.remove(mask)
+                    reps.append(mask)
                     classes += 1
                     graph = gr.LabeledGraph(n, edges)
                     for q in range(2, 6):
@@ -398,6 +338,12 @@ def check_hom_suite() -> CheckResult:
                             return False, (f"power inequality fails on a "
                                            f"{d}-regular graph with n={n}, "
                                            f"q={q}")
+                if left:
+                    lost = min(left)
+                    first = tuple((u, v) for u, v in pairs if lost & bit[u][v])
+                    return False, (f"relabelings never generated for the "
+                                   f"{d}-regular graphs on {n} vertices: "
+                                   f"{len(left)}, among them {first}")
         return True, (f"oracle, dominance, 500 regularizations, and the "
                       f"power inequality over {classes} shapes covering "
                       f"{labeled} labeled regular graphs all hold")

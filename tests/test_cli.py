@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kunzlab import cli
+from kunzlab import cli, graphs
 from kunzlab.enumeration import enumerate_words
 from kunzlab.graphs import LabeledGraph, graph_to_text
 from kunzlab.stats import backelin_bracket, mu_gamma_partial
@@ -187,6 +187,26 @@ def test_hom_graph_keeps_the_vertex_guard(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "pattern has 13 vertices; guard is 12" in err
+
+
+@pytest.mark.parametrize("text", ["# vertices: 100000000\n1 2\n",
+                                  "1 100000000\n"])
+def test_hom_graph_refuses_a_large_count_before_building(capsys, tmp_path,
+                                                         monkeypatch, text):
+    built = graphs.LabeledGraph
+
+    def guarded(vertex_count, *args, **kwargs):
+        if vertex_count > 12:
+            raise AssertionError(f"built a graph on {vertex_count} vertices")
+        return built(vertex_count, *args, **kwargs)
+
+    monkeypatch.setattr(graphs, "LabeledGraph", guarded)
+    path = tmp_path / "huge.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "hom", "--graph", str(path), "--q", "3")
+    assert code == 2
+    assert out == ""
+    assert "pattern has 100000000 vertices; guard is 12" in err
 
 
 def test_bounds_stressed(capsys):

@@ -1,0 +1,71 @@
+"""The hom suite's census of labeled regular graphs and its orbit check."""
+
+import pytest
+
+from kunzlab import verify
+
+# labeled d-regular graphs on n vertices: A001147 (d = 1), A001205 (d = 2),
+# A002829 (d = 3)
+LABELED = {
+    1: {2: 1, 4: 3, 6: 15, 8: 105},
+    2: {3: 1, 4: 3, 5: 12, 6: 70, 7: 465, 8: 3507},
+    3: {4: 1, 6: 70, 8: 19355},
+}
+
+
+@pytest.mark.parametrize("d", sorted(LABELED))
+def test_labeled_regular_matches_oeis(d):
+    for n in range(2, 9):
+        graphs = list(verify._labeled_regular(n, d))
+        assert len(set(graphs)) == len(graphs)
+        assert len(graphs) == LABELED[d].get(n, 0)
+        for edges in graphs:
+            degree = [0] * (n + 1)
+            for u, v in edges:
+                assert 1 <= u < v <= n
+                degree[u] += 1
+                degree[v] += 1
+            assert degree[1:] == [d] * n
+
+
+def test_hom_suite_counts_shapes_and_labeled_graphs():
+    result = verify.check_hom_suite()
+    assert result.passed, result.detail
+    assert "over 23 shapes covering 23608 labeled regular graphs" in result.detail
+
+
+GENERATE = verify._labeled_regular
+
+
+@pytest.mark.parametrize("index", [0, 1000])
+def test_hom_suite_fails_when_a_graph_is_dropped(monkeypatch, index):
+    dropped = list(GENERATE(8, 3))[index]
+
+    def mutant(n, d):
+        for edges in GENERATE(n, d):
+            if (n, d, edges) != (8, 3, dropped):
+                yield edges
+
+    monkeypatch.setattr(verify, "_labeled_regular", mutant)
+    result = verify.check_hom_suite()
+    assert not result.passed
+    assert (f"relabelings never generated for the 3-regular graphs on 8 "
+            f"vertices: 1, among them {dropped}") in result.detail
+
+
+# a class's first graph, a later one, and K4, whose only relabeling is itself
+@pytest.mark.parametrize("n,d,index", [(6, 2, 0), (6, 2, 30), (4, 3, 0)])
+def test_hom_suite_fails_when_a_graph_is_repeated(monkeypatch, n, d, index):
+    repeated = list(GENERATE(n, d))[index]
+
+    def mutant(n_, d_):
+        for edges in GENERATE(n_, d_):
+            yield edges
+            if (n_, d_, edges) == (n, d, repeated):
+                yield edges
+
+    monkeypatch.setattr(verify, "_labeled_regular", mutant)
+    result = verify.check_hom_suite()
+    assert not result.passed
+    assert (f"the {d}-regular graph {repeated} on {n} vertices was generated "
+            f"twice") in result.detail
