@@ -860,11 +860,19 @@ def tail_heavy_count(spec: TailHeavySpec) -> int:
 
     For each head only the number d of tail positions all of whose head pairs
     reach q matters, and the tails for a given d are counted in closed form.
-    The heads are scanned by value class: a head value of q-1 or more reaches
-    q with any partner (itself included, as q >= 2), so q-1 and q pass the
-    same pair tests.  The (q-1)^(length - tail_width) heads over 1..q-1 are
-    scanned once, each standing for the 2^c heads got by raising any subset
-    of its c entries equal to q-1 to q.
+    A head value of q-1 or more reaches q with any partner (itself included,
+    as q >= 2), so q-1 and q pass the same pair tests: the heads over 1..q-1
+    are walked, each standing for the 2^c heads got by raising any subset of
+    its c entries equal to q-1 to q.
+
+    The walk sets head positions 0..h-1 in turn (h = length - tail_width)
+    and carries two bit masks.  ``fail`` has bit i+j set when the entries at
+    i <= j add up to less than q, and ``low[c]`` has bit i set when the entry
+    at i is below c.  Setting position k to v adds the sums k+i over the
+    earlier i in ``low[q-v]``, and 2k when 2v < q.  Tail position s (1-based)
+    takes the head pairs summing to s-2, so a full head has
+    d = tail_width - popcount(fail & window), the window being bits
+    h-1..length-2.
     """
     q = spec.depth
     t = spec.tail_width
@@ -872,19 +880,25 @@ def tail_heavy_count(spec: TailHeavySpec) -> int:
     if n_min > t:
         return 0
     h = spec.length - t
-    pair_lists = _head_pairs(spec)
-    always = sum(1 for pairs in pair_lists if not pairs)
-    checked = [pairs for pairs in pair_lists if pairs]
     hist = [0] * (t + 1)
     if h == 0:
         hist[t] = 1
     else:
-        for head in product(range(1, q), repeat=h):
-            d = always
-            for pairs in checked:
-                if all(head[x] + head[y] >= q for x, y in pairs):
-                    d += 1
-            hist[d] += 1 << head.count(q - 1)
+        window = ((1 << t) - 1) << (h - 1)
+        stack = [(0, 0, (0,) * q, 1)]
+        while stack:
+            k, fail, low, weight = stack.pop()
+            for v in range(1, q):
+                below = low[q - v] | (1 << k if 2 * v < q else 0)
+                failed = fail | below << k
+                grown = weight * 2 if v == q - 1 else weight
+                if k == h - 1:
+                    hist[t - (failed & window).bit_count()] += grown
+                else:
+                    stack.append((k + 1, failed,
+                                  low[:v + 1] + tuple(c | 1 << k
+                                                      for c in low[v + 1:]),
+                                  grown))
     total = 0
     for d, heads in enumerate(hist):
         if not heads:

@@ -10,8 +10,10 @@ hold up".
 
 The brute-force oracles used here (product-loop homomorphism counting, and
 the hom suite's orbit census, which sorts every labeled regular graph on up
-to 8 vertices into classes by the relabelings of the classes found so far)
-are deliberately independent of the fast paths they validate.
+to 8 vertices into classes by the relabelings of the classes found so far,
+each class's relabelings being the closure of its first graph under the
+adjacent transpositions) are deliberately independent of the fast paths
+they validate.
 """
 
 from __future__ import annotations
@@ -235,10 +237,48 @@ def _labeled_regular(n: int, d: int):
     yield from rec([0] * (n + 1), ())
 
 
-def _orbit(n: int, edges, bit: list[list[int]]):
-    """Yield the edge-bit mask of every relabeling of the graph on 1..n."""
-    for p in itertools.permutations(range(1, n + 1)):
-        yield sum(bit[p[u - 1]][p[v - 1]] for u, v in edges)
+def _swap_tables(n: int,
+                 bit: list[list[int]]) -> list[list[tuple[int, list[int]]]]:
+    """Chunk tables of the adjacent transpositions (1 2), ..., (n-1 n).
+
+    Entry ``[a]`` lists, for each run of 7 edge bits starting at ``shift``,
+    the pair ``(shift, table)`` where ``table[x]`` is the image under
+    (a+1 a+2) of the edge bits ``x << shift``.
+    """
+    swaps = []
+    for a in range(1, n):
+        label = list(range(n + 1))
+        label[a], label[a + 1] = a + 1, a
+        image = {bit[u][v]: bit[label[u]][label[v]]
+                 for u in range(1, n + 1) for v in range(u + 1, n + 1)}
+        chunks = []
+        for shift in range(0, len(image), 7):
+            table = [0]
+            for b in range(shift, min(shift + 7, len(image))):
+                table += [x | image[1 << b] for x in table]
+            chunks.append((shift, table))
+        swaps.append(chunks)
+    return swaps
+
+
+def _orbit(mask: int, swaps: list[list[tuple[int, list[int]]]]) -> set[int]:
+    """The edge-bit masks of every relabeling of a graph, given its mask.
+
+    The closure of the mask under the adjacent transpositions of
+    :func:`_swap_tables`, which generate the symmetric group, so each
+    relabeling is added once.
+    """
+    orbit = {mask}
+    todo = [mask]
+    for m in todo:
+        for chunks in swaps:
+            image = 0
+            for shift, table in chunks:
+                image |= table[m >> shift & 127]
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
 
 
 def _random_bounded_graph(rng: random.Random) -> tuple[gr.LabeledGraph, int]:
@@ -307,7 +347,9 @@ def check_hom_suite() -> CheckResult:
         # graph per class.  `left` holds the relabelings of the classes found
         # so far that are still to come; a graph not in it starts a class,
         # unless an earlier class's first graph is among its relabelings,
-        # which makes it a repeat
+        # which makes it a repeat.  A class's relabelings are the closure of
+        # its first graph under the n-1 adjacent transpositions, each applied
+        # to the edge bits 7 at a time through the tables of `swaps`
         labeled = 0
         classes = 0
         for n in range(2, 9):
@@ -315,6 +357,7 @@ def check_hom_suite() -> CheckResult:
             bit = [[0] * (n + 1) for _ in range(n + 1)]
             for i, (u, v) in enumerate(pairs):
                 bit[u][v] = bit[v][u] = 1 << i
+            swaps = _swap_tables(n, bit)
             for d in range(1, 4):
                 left: set[int] = set()
                 reps: list[int] = []
@@ -324,7 +367,7 @@ def check_hom_suite() -> CheckResult:
                     if mask in left:
                         left.remove(mask)
                         continue
-                    left.update(_orbit(n, edges, bit))
+                    left |= _orbit(mask, swaps)
                     if any(rep in left for rep in reps):
                         return False, (f"the {d}-regular graph {edges} on "
                                        f"{n} vertices was generated twice")

@@ -526,6 +526,23 @@ def test_tail_heavy_count_golden_length_14():
     assert got == GOLDEN_TAIL_HEAVY_14_4
 
 
+# tail_heavy_count((14, t, q)) for q = 2, 3 and t = 4..14, from the
+# value-class scan over all (q-1)^(14 - t) heads, before the failing-sum mask
+GOLDEN_TAIL_HEAVY_14 = {
+    2: {4: 1024, 5: 3072, 6: 5632, 7: 8192, 8: 10432, 9: 12224, 10: 13568,
+        11: 14528, 12: 15188, 13: 15628, 14: 15914},
+    3: {4: 11488, 5: 50352, 6: 155192, 7: 314868, 8: 660174, 9: 1073337,
+        10: 1654665, 11: 2163321, 12: 2730105, 13: 3128185, 14: 3533689},
+}
+
+
+@pytest.mark.parametrize("q", sorted(GOLDEN_TAIL_HEAVY_14))
+def test_tail_heavy_count_golden_length_14_low_depth(q):
+    got = {t: tail_heavy_count(TailHeavySpec(14, t, q))
+           for t in GOLDEN_TAIL_HEAVY_14[q]}
+    assert got == GOLDEN_TAIL_HEAVY_14[q]
+
+
 def test_tail_heavy_zero_when_tail_too_narrow():
     spec = TailHeavySpec(9, 2, 2)
     assert spec.n_min == 4

@@ -1,5 +1,7 @@
 """The hom suite's census of labeled regular graphs and its orbit check."""
 
+import itertools
+
 import pytest
 
 from kunzlab import verify
@@ -35,6 +37,46 @@ def test_hom_suite_counts_shapes_and_labeled_graphs():
 
 
 GENERATE = verify._labeled_regular
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_orbit_matches_every_permutation(n):
+    # the orbit of each class's first graph, against the masks of all n!
+    # relabelings of its edges
+    bit = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, (u, v) in enumerate(itertools.combinations(range(1, n + 1), 2)):
+        bit[u][v] = bit[v][u] = 1 << i
+    swaps = verify._swap_tables(n, bit)
+    for d in range(1, 4):
+        labeled = set()
+        seen = set()
+        for edges in GENERATE(n, d):
+            mask = sum(bit[u][v] for u, v in edges)
+            labeled.add(mask)
+            if mask in seen:
+                continue
+            relabeled = {sum(bit[p[u - 1]][p[v - 1]] for u, v in edges)
+                         for p in itertools.permutations(range(1, n + 1))}
+            assert verify._orbit(mask, swaps) == relabeled, (n, d, edges)
+            seen |= relabeled
+        assert seen == labeled
+
+
+@pytest.mark.parametrize("dropped", [0, -1])
+def test_hom_suite_needs_every_transposition(monkeypatch, dropped):
+    # without (1 2) or (n-1 n) the rest generate a smaller group, whose
+    # orbits split the classes
+    tables = verify._swap_tables
+
+    def mutant(n, bit):
+        swaps = tables(n, bit)
+        del swaps[dropped]
+        return swaps
+
+    monkeypatch.setattr(verify, "_swap_tables", mutant)
+    result = verify.check_hom_suite()
+    assert not (result.passed and "over 23 shapes covering 23608 labeled "
+                "regular graphs" in result.detail)
 
 
 @pytest.mark.parametrize("index", [0, 1000])
