@@ -55,11 +55,12 @@ def _add_query_flags(parser: argparse.ArgumentParser) -> None:
 def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=None,
                         help="worker processes for the walked scans of "
-                             "length 4 or more (MED, --contains, a length "
-                             "with --depth-max), at most the cores available "
-                             "(default: all available cores); an unfiltered "
-                             "Frobenius query, and so every dist, has a "
-                             "closed form and runs serially")
+                             "length 4 or more of a count (MED, --contains, "
+                             "a length with --depth-max), at most the cores "
+                             "available (default: all available cores); an "
+                             "unfiltered Frobenius query has a closed form "
+                             "and runs serially, and dist accepts the flag "
+                             "and always runs serially")
 
 
 @functools.cache
@@ -172,14 +173,6 @@ def _threads(args) -> int:
     return os.cpu_count() or 1
 
 
-def _workers(args) -> int:
-    """Worker processes the command's engine calls start; 1 when serial."""
-    threads = _threads(args)
-    if args.command == "count":
-        return eng.pool_size(_build_query(args), threads)
-    return eng.pool_size(CountQuery(frobenius=args.f), threads)
-
-
 def _fraction_payload(value: Fraction | int) -> tuple[int, int]:
     frac = Fraction(value)
     return frac.numerator, frac.denominator
@@ -189,16 +182,16 @@ def _emit_json(payload: dict, out) -> None:
     print(json.dumps(payload), file=out)
 
 
-def _cmd_count(args, out) -> int:
+def _cmd_count(args, out) -> tuple[int, int]:
+    """Print the count; return the exit code and the workers started."""
     query = _build_query(args)
-    threads = _threads(args)
-    count = eng.count_words(query, threads=threads)
+    count, workers = eng._count(query, _threads(args))
     if args.format == "csv":
         print("count", file=out)
         print(count, file=out)
     else:
         _emit_json({"query": _query_echo(query), "count": count}, out)
-    return 0
+    return 0, workers
 
 
 def _cmd_enumerate(args, out) -> int:
@@ -263,11 +256,11 @@ def _cmd_constants(args, out, ref_dir) -> int:
 def _cmd_dist(args, out) -> int:
     if args.f < 3:
         raise _Usage("--f must be at least 3")
-    threads = _threads(args)
+    _threads(args)  # checked, though every dist runs serially
     if args.which == "mult":
-        dist = stats_mod.mult_distribution(args.f, threads=threads)
+        dist = stats_mod.mult_distribution(args.f)
     else:
-        dist = stats_mod.genus_stats(args.f, threads=threads).distribution
+        dist = stats_mod.genus_stats(args.f).distribution
     total = dist.total
     print("key,count,probability_num,probability_den", file=out)
     for key, count in dist.pairs:
@@ -389,9 +382,10 @@ def main(argv=None) -> int:
     out, err = sys.stdout, sys.stderr
     ref_dir = args.ref_data
     start = time.perf_counter()
+    workers = None  # worker processes started, printed for count and dist
     try:
         if args.command == "count":
-            code = _cmd_count(args, out)
+            code, workers = _cmd_count(args, out)
         elif args.command == "enumerate":
             code = _cmd_enumerate(args, out)
         elif args.command == "table":
@@ -399,7 +393,7 @@ def main(argv=None) -> int:
         elif args.command == "constants":
             code = _cmd_constants(args, out, ref_dir)
         elif args.command == "dist":
-            code = _cmd_dist(args, out)
+            code, workers = _cmd_dist(args, out), 1
         elif args.command == "hom":
             code = _cmd_hom(args, out)
         elif args.command == "bounds":
@@ -419,7 +413,7 @@ def main(argv=None) -> int:
         print(f"kunzlab: verification failure: {exc}", file=err)
         return 1
     elapsed = time.perf_counter() - start
-    suffix = "" if "threads" not in args else f" workers={_workers(args)}"
+    suffix = "" if workers is None else f" workers={workers}"
     print(f"elapsed={elapsed:.3f}s{suffix}", file=err)
     return code
 

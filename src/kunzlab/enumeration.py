@@ -34,11 +34,11 @@ array.  Enumeration mirrors that split (:func:`_cell_words`): a closed cell
 of depth at most 3 yields its words from the product its closed form
 describes (a free {1,2} head at q = 2; the stressed depth-3 words of length
 j, walked, times free {1,2} tails at q = 3), and every other scan expands
-the walker's ranges into words.  For parallel work every walked scan of
-length 4 or more becomes one (scan, share, shares) task per worker: each
-worker takes every shares-th of the depth-2 prefixes that the same walker,
-stopped there, yields (:func:`_fold`), and every task of a call runs on one
-worker pool.
+the walker's ranges into words.  Only :func:`count_words` runs in parallel:
+every walked scan of length 4 or more is cut into pinned scans, one for each
+pair of values at positions 1 and 2 (:func:`_pinned`), each worker folds a
+strided share of them as one tuple of scans (:func:`_fold`), and every task
+of a call runs on one worker pool.
 :func:`_walked_histogram` folds every scan through the walker alone: it is
 the oracle the closed forms are checked against.
 
@@ -54,7 +54,7 @@ import heapq
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, islice, product
+from itertools import accumulate, product
 from math import comb, isqrt
 from multiprocessing import Pool
 from operator import ge
@@ -174,24 +174,21 @@ def _plans(query: CountQuery) -> list[Scan]:
 # ---------------------------------------------------------------------------
 
 
-def _walk(scan: Scan, prefix: tuple[int, ...] = (), stop: int = 0):
-    """Yield the leaves of a scan's search tree below ``prefix``.
+def _walk(scan: Scan):
+    """Yield the leaves of a scan's search tree.
 
-    The search fixes positions one at a time, from ``len(prefix) + 1`` up to
-    ``stop`` (default: the word length), and stops there.  Each leaf is
-    ``(w, gsum, lb, ub)``: ``w[1:stop]`` is a valid prefix with entry sum
-    ``gsum``, and it extends to a valid prefix of length ``stop`` exactly by
-    the values ``lb..ub`` at position ``stop``.  Leaves come in lexicographic
-    order.  ``w`` is reused, so read it before asking for the next leaf.
+    The search fixes positions one at a time, from 1 up to the word length.
+    Each leaf is ``(w, gsum, lb, ub)``: ``w[1:length]`` is a valid prefix with
+    entry sum ``gsum``, and it extends to a valid word exactly by the values
+    ``lb..ub`` at the last position.  Leaves come in lexicographic order.
+    ``w`` is reused, so read it before asking for the next leaf.
     """
     length, caps, floors, strict = scan
-    stop = stop or length
     comp = 1 - strict
-    start = len(prefix) + 1
-    w = [0, *prefix] + [0] * (length - len(prefix))
+    w = [0] * (length + 1)
     top = [0] * (length + 1)  # the largest value allowed at each set position
-    gsum = sum(prefix)
-    p = start
+    gsum = 0
+    p = 1
     while True:
         ub = caps[p - 1]
         for i in range(1, p // 2 + 1):
@@ -210,7 +207,7 @@ def _walk(scan: Scan, prefix: tuple[int, ...] = (), stop: int = 0):
             if cand > lb:
                 lb = cand
         if lb <= ub:
-            if p < stop:
+            if p < length:
                 w[p] = lb
                 top[p] = ub
                 gsum += lb
@@ -219,21 +216,21 @@ def _walk(scan: Scan, prefix: tuple[int, ...] = (), stop: int = 0):
             yield w, gsum, lb, ub
         # back up to the deepest position with a larger value left to try
         p -= 1
-        while p >= start and w[p] == top[p]:
+        while p and w[p] == top[p]:
             gsum -= w[p]
             p -= 1
-        if p < start:
+        if not p:
             return
         w[p] += 1
         gsum += 1
         p += 1
 
 
-def _words(scan: Scan, stop: int = 0):
-    """Yield the valid prefixes of length ``stop`` (default: the whole words)."""
-    end = stop or scan[0]
-    for w, _, lb, ub in _walk(scan, (), stop):
-        base = tuple(w[1:end])
+def _words(scan: Scan):
+    """Yield a scan's words, walked, in ascending lexicographic order."""
+    length = scan[0]
+    for w, _, lb, ub in _walk(scan):
+        base = tuple(w[1:length])
         for v in range(lb, ub + 1):
             yield base + (v,)
 
@@ -264,19 +261,15 @@ def _cell_words(scan: Scan):
             for tail in product((1, 2), repeat=length - j))
 
 
-def _fold(task: tuple[Scan, int, int]) -> list[int]:
-    """Genus histogram, indexed by genus, of one share of a scan's words.
+def _fold(scans: tuple[Scan, ...]) -> list[int]:
+    """Genus histogram, indexed by genus, of disjoint scans of one length.
 
-    The task ``(scan, share, shares)`` holds the words below every
-    ``shares``-th depth-2 prefix from the ``share``-th on; ``(scan, 0, 1)``
-    is the whole scan.
+    ``(scan,)`` is one whole scan; a pool task is a share of the pinned
+    scans that :func:`_pinned` cuts a scan into.
     """
-    scan, share, shares = task
-    prefixes = ([()] if shares == 1
-                else islice(_words(scan, 2), share, None, shares))
-    diff = [0] * (sum(scan[1]) + 2)
-    for prefix in prefixes:
-        for _, gsum, lb, ub in _walk(scan, prefix):
+    diff = [0] * (max(sum(scan[1]) for scan in scans) + 2)
+    for scan in scans:
+        for _, gsum, lb, ub in _walk(scan):
             diff[gsum + lb] += 1
             diff[gsum + ub + 1] -= 1
     return list(accumulate(diff))
@@ -288,7 +281,7 @@ def _walked_histogram(query: CountQuery) -> dict[int, int]:
     No closed form enters: this is the reference that the closed genus
     polynomials of :func:`_closed_form` are tested against.
     """
-    return _sum(_fold((scan, 0, 1)) for scan in _plans(query))
+    return _sum(_fold((scan,)) for scan in _plans(query))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +337,7 @@ def _solve(scan: Scan) -> list[int]:
     """Genus histogram of a whole scan: its closed form when it has one."""
     profile = _closed_profile(scan)
     if profile is None:
-        return _fold((scan, 0, 1))
+        return _fold((scan,))
     return _closed_form(scan[0], *profile)
 
 
@@ -353,46 +346,49 @@ def _solve(scan: Scan) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+def _pinned(scan: Scan) -> list[Scan]:
+    """The scan cut into disjoint scans, in word order: one for each pair
+    (a, b) in its floor..cap ranges at positions 1 and 2, with the cap and
+    the floor of both positions set to a and b.  A pair that no valid word
+    starts with yields no leaf: the walker finds position 2 empty."""
+    length, caps, floors, strict = scan
+    return [(length, (a, b) + caps[2:], (a, b) + floors[2:], strict)
+            for a in range(floors[0], caps[0] + 1)
+            for b in range(floors[1], caps[1] + 1)]
+
+
 def _tasks(query: CountQuery, threads: int):
-    """The query's serial scans, its pooled tasks and its worker count.
+    """The query's serial scans, its pool tasks and its worker count.
 
-    Returns (serial, pooled, workers).  ``threads`` is capped at the cores
-    available.  With more than one worker left, every walked scan of length
-    4 or more becomes one ``(scan, share, workers)`` task per worker (see
-    :func:`_fold`) for the pool, and the worker count is that cap.  Shorter
-    scans, scans with a closed form, and everything when one worker is
-    left, run whole in the caller; with nothing pooled the count is 1.
+    ``threads`` is capped at the cores available.  With two or more left,
+    each walked scan of length 4 or more is cut into its pinned scans
+    (:func:`_pinned`), and worker k takes every cap-th of them from the k-th
+    on as one task for :func:`_fold`; a scan with one pinned scan is not
+    cut.  The rest runs whole in the caller.  ``workers`` is the cap, or
+    the task count if smaller, and 1 when nothing is pooled.
     """
-    threads = min(threads, os.cpu_count() or 1)
-    serial, split = [], []
+    cap = min(threads, os.cpu_count() or 1)
+    serial, tasks = [], []
     for scan in _plans(query):
-        if threads <= 1 or scan[0] < 4 or _closed_profile(scan):
-            serial.append(scan)
+        walked = cap > 1 and scan[0] >= 4 and _closed_profile(scan) is None
+        pinned = _pinned(scan) if walked else []
+        if len(pinned) > 1:
+            tasks += (tuple(pinned[k::cap])
+                      for k in range(min(cap, len(pinned))))
         else:
-            split.append(scan)
-    workers = threads if split else 1
-    pooled = [(scan, share, workers)
-              for scan in split for share in range(workers)]
-    return serial, pooled, workers
+            serial.append(scan)
+    return serial, tasks, min(cap, len(tasks)) or 1
 
 
-def pool_size(query: CountQuery, threads: int = 1) -> int:
-    """Worker processes the engine starts for the query; 1 when it runs serially.
-
-    Read from the plans alone: no scan is walked to find it.
-    """
-    return _tasks(query, threads)[2]
-
-
-def _parts(query: CountQuery, threads: int) -> list[tuple[int, list[int]]]:
-    """``(word length, genus histogram)`` of every task of the query."""
-    serial, pooled, workers = _tasks(query, threads)
-    parts = [(scan[0], _solve(scan)) for scan in serial]
-    if pooled:
+def _count(query: CountQuery, threads: int) -> tuple[int, int]:
+    """The query's word count, and the worker processes it started (1 when
+    it ran serially): every task of the call runs on one pool."""
+    serial, tasks, workers = _tasks(query, threads)
+    count = sum(sum(_solve(scan)) for scan in serial)
+    if tasks:
         with Pool(processes=workers) as pool:
-            hists = pool.map(_fold, pooled)
-        parts += [(scan[0], hist) for (scan, _, _), hist in zip(pooled, hists)]
-    return parts
+            count += sum(map(sum, pool.map(_fold, tasks)))
+    return count, workers
 
 
 def _sum(hists) -> dict[int, int]:
@@ -405,46 +401,41 @@ def _sum(hists) -> dict[int, int]:
     return dict(sorted(total.items()))
 
 
-def _histogram(query: CountQuery, threads: int) -> dict[int, int]:
-    """The sum of the task histograms: the body of all three counters."""
-    return _sum(hist for _, hist in _parts(query, threads))
-
-
 # ---------------------------------------------------------------------------
 # public generic entry points
 # ---------------------------------------------------------------------------
 
 
-def genus_histogram(query: CountQuery, threads: int = 1) -> dict[int, int]:
+def genus_histogram(query: CountQuery) -> dict[int, int]:
     """Exact histogram ``genus -> number of matching words``.
 
-    Unfiltered cells come from closed genus polynomials.
-    With ``threads > 1`` the walked scans of length 4 or more run on one
-    pool of :func:`pool_size` worker processes, each scan as one share of
-    its depth-2 prefixes per worker; the result does not depend on it.
+    Unfiltered cells come from closed genus polynomials, and every other
+    scan is walked, serially.
     """
-    return _histogram(query, threads)
+    return _sum(map(_solve, _plans(query)))
 
 
-def count_and_genus(query: CountQuery, threads: int = 1) -> tuple[int, int]:
+def count_and_genus(query: CountQuery) -> tuple[int, int]:
     """Number of matching words and the sum of their genera."""
-    hist = _histogram(query, threads)
+    hist = genus_histogram(query)
     return sum(hist.values()), sum(g * n for g, n in hist.items())
 
 
 def count_words(query: CountQuery, threads: int = 1) -> int:
-    """Number of Kunz words matching the query."""
-    return sum(_histogram(query, threads).values())
+    """Number of Kunz words matching the query.
 
-
-def count_by_length(query: CountQuery, threads: int = 1) -> dict[int, int]:
-    """Number of matching words of each length, ``length -> count``.
-
-    Every length is counted in one call, so at most one pool is opened.
+    With ``threads > 1`` the walked scans of length 4 or more run on one
+    pool of at most ``threads`` worker processes, each scan cut into its
+    pinned scans (see :func:`_tasks`); the count does not depend on it.
     """
+    return _count(query, threads)[0]
+
+
+def count_by_length(query: CountQuery) -> dict[int, int]:
+    """Number of matching words of each length, ``length -> count``."""
     counts: dict[int, int] = {}
-    for length, hist in _parts(query, threads):
-        counts[length] = counts.get(length, 0) + sum(hist)
+    for scan in _plans(query):
+        counts[scan[0]] = counts.get(scan[0], 0) + sum(_solve(scan))
     return {length: n for length, n in sorted(counts.items()) if n}
 
 
@@ -733,7 +724,7 @@ def _med_via_membership(frobenius: int, depth: int | None) -> int:
     return total
 
 
-def med_count(frobenius: int, depth: int | None = None, threads: int = 1) -> int:
+def med_count(frobenius: int, depth: int | None = None) -> int:
     """Number of MED words with the given Frobenius number (and depth, if set).
 
     Computed two independent ways -- directly, with the strict inequality
@@ -743,7 +734,7 @@ def med_count(frobenius: int, depth: int | None = None, threads: int = 1) -> int
     if frobenius < 1:
         raise ValueError("the Frobenius number must be at least 1")
     direct = count_words(
-        CountQuery(frobenius=frobenius, depth_exact=depth, med=True), threads)
+        CountQuery(frobenius=frobenius, depth_exact=depth, med=True))
     via = _med_via_membership(frobenius, depth)
     if direct != via:
         raise ArithmeticError(

@@ -193,11 +193,11 @@ def backelin_bracket(parity: str, j_cut: int = 56, table1=None) -> ExactBracket:
 # ---------------------------------------------------------------------------
 
 
-def mult_distribution(f: int, threads: int = 1) -> Distribution:
+def mult_distribution(f: int) -> Distribution:
     """Exact distribution of f - 2m over semigroups with Frobenius number f."""
     if f < 1:
         raise ValueError("f must be at least 1")
-    by_length = count_by_length(CountQuery(frobenius=f), threads)
+    by_length = count_by_length(CountQuery(frobenius=f))
     return Distribution.from_counts(
         {f - 2 * (length + 1): c for length, c in by_length.items()})
 
@@ -234,17 +234,16 @@ class GenusStats(NamedTuple):
     standardized: tuple[float, float, float]
 
 
-def genus_stats(f: int, threads: int = 1) -> GenusStats:
+def genus_stats(f: int) -> GenusStats:
     """Exact genus distribution with mean (as deviation from 3f/4) and moments.
 
     ``central_moments`` carries the exact second through fourth central
     moments; ``standardized`` divides them by the matching power of the
-    standard deviation, as floats for reporting.  ``threads`` is the worker
-    count for the histogram, as in :func:`genus_histogram`.
+    standard deviation, as floats for reporting.
     """
     if f < 1:
         raise ValueError("f must be at least 1")
-    hist = genus_histogram(CountQuery(frobenius=f), threads)
+    hist = genus_histogram(CountQuery(frobenius=f))
     dist = Distribution.from_counts(hist)
     total = dist.total
     mean = dist.mean()

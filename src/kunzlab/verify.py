@@ -281,6 +281,14 @@ def _orbit(mask: int, swaps: list[list[tuple[int, list[int]]]]) -> set[int]:
     return orbit
 
 
+# classes of the loop-free d-regular graphs on n vertices, counted without
+# a graph: one perfect matching for each even n, one union of cycles for
+# each partition of n into parts >= 3, and the cubic graphs (OEIS A002851)
+_SHAPES = {1: {2: 1, 4: 1, 6: 1, 8: 1},
+           2: {3: 1, 4: 1, 5: 1, 6: 2, 7: 2, 8: 3},
+           3: {4: 1, 6: 2, 8: 6}}
+
+
 def _random_bounded_graph(rng: random.Random) -> tuple[gr.LabeledGraph, int]:
     n = rng.randint(1, 8)
     d = rng.randint(1, 4 if n <= 6 else 3)
@@ -349,7 +357,9 @@ def check_hom_suite() -> CheckResult:
         # unless an earlier class's first graph is among its relabelings,
         # which makes it a repeat.  A class's relabelings are the closure of
         # its first graph under the n-1 adjacent transpositions, each applied
-        # to the edge bits 7 at a time through the tables of `swaps`
+        # to the edge bits 7 at a time through the tables of `swaps`.  Each
+        # (n, d) must give the class count of `_SHAPES`: a missing
+        # transposition splits the classes into more
         labeled = 0
         classes = 0
         for n in range(2, 9):
@@ -387,6 +397,10 @@ def check_hom_suite() -> CheckResult:
                     return False, (f"relabelings never generated for the "
                                    f"{d}-regular graphs on {n} vertices: "
                                    f"{len(left)}, among them {first}")
+                if len(reps) != _SHAPES[d].get(n, 0):
+                    return False, (f"the {d}-regular graphs on {n} "
+                                   f"vertices fall into {len(reps)} "
+                                   f"classes, not {_SHAPES[d].get(n, 0)}")
         return True, (f"oracle, dominance, 500 regularizations, and the "
                       f"power inequality over {classes} shapes covering "
                       f"{labeled} labeled regular graphs all hold")

@@ -287,10 +287,12 @@ def test_verify_tables_suite(capsys):
 
 
 def test_determinism_across_threads(capsys):
-    # count --f 24 --med is walked on a pool at 4 and 16 workers
+    # with more than one core, count --f 24 --med is walked on a pool, and
+    # the one box of --ell 7 --depth-max 3 is split across its workers
     for argv in (("count", "--f", "20"), ("count", "--f", "24"),
                  ("count", "--f", "24", "--med"),
                  ("count", "--ell", "7", "--depth", "3"),
+                 ("count", "--ell", "7", "--depth-max", "3"),
                  ("dist", "genus", "--f", "20")):
         outputs = set()
         for threads in ("1", "4", "16"):
@@ -401,6 +403,9 @@ class TestExitCodes:
 
     def test_bad_threads(self, capsys):
         assert run(capsys, "count", "--f", "9", "--threads", "0")[0] == 2
+        # dist runs serially, but still checks the flag
+        assert run(capsys, "dist", "genus", "--f", "20",
+                   "--threads", "0")[0] == 2
 
     def test_missing_ref_dir(self, capsys, monkeypatch):
         monkeypatch.delenv("KUNZLAB_REF_DATA", raising=False)

@@ -162,73 +162,85 @@ def test_threaded_counts_agree(threads):
               CountQuery(length=7, depth_max=3),
               CountQuery(length=7, depth_exact=3),
               CountQuery(length=4, depth_max=40)):
-        assert count_words(q, threads=threads) == count_words(q)
-        assert count_and_genus(q, threads=threads) == count_and_genus(q)
-        assert genus_histogram(q, threads=threads) == genus_histogram(q)
+        assert count_words(q, threads=threads) == count_words(q) == \
+            sum(genus_histogram(q).values())
 
 
-def test_one_pool_per_call(monkeypatch):
-    opened = []
-    real_pool = enumeration.Pool
-
-    def counting_pool(*args, **kwargs):
-        opened.append(kwargs.get("processes"))
-        return real_pool(*args, **kwargs)
-
-    monkeypatch.setattr("kunzlab.enumeration.Pool", counting_pool)
-    # MED strictness keeps the scans of f = 24 on the walker, several of
-    # them of length 4 or more: one pool for all of them
-    query = CountQuery(frobenius=24, med=True)
-    count_words(query, threads=2)
-    assert opened == [2]
-    genus_histogram(query, threads=2)
-    enumeration.count_by_length(query, threads=2)
-    assert opened == [2, 2, 2]
-    # a scan shorter than 4 runs serially
-    short = CountQuery(frobenius=23, length=3, med=True)
-    count_words(short, threads=2)
-    count_words(CountQuery(frobenius=24, length=3), threads=2)
-    assert opened == [2, 2, 2]
-    # every unfiltered scan of f = 20 and f = 24 has a closed form
-    count_words(CountQuery(frobenius=20), threads=2)
-    count_words(CountQuery(frobenius=24), threads=2)
-    assert opened == [2, 2, 2]
-    assert enumeration.pool_size(query, 2) == 2
-    assert enumeration.pool_size(short, 2) == 1
-    assert enumeration.pool_size(CountQuery(frobenius=24, length=3), 2) == 1
-    assert enumeration.pool_size(CountQuery(frobenius=20), 2) == 1
-    assert enumeration.pool_size(CountQuery(frobenius=24), 2) == 1
-    assert enumeration.pool_size(query, 1) == 1
-
-
-def test_one_pool_task_per_worker(monkeypatch):
-    mapped = []
+def _recording_pool(monkeypatch):
+    """Open real pools through ``enumeration.Pool``, and record for each the
+    worker count asked for and the tasks mapped."""
+    pools = []
     real_pool = enumeration.Pool
 
     def recording_pool(*args, **kwargs):
         pool = real_pool(*args, **kwargs)
         real_map = pool.map
+        pools.append((kwargs.get("processes"), []))
 
         def record(fn, tasks, *rest):
-            mapped.append(list(tasks))
-            return real_map(fn, mapped[-1], *rest)
+            pools[-1][1].extend(tasks)
+            return real_map(fn, pools[-1][1], *rest)
 
         pool.map = record
         return pool
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr("kunzlab.enumeration.Pool", recording_pool)
+    return pools
+
+
+def _walked(query: CountQuery) -> list:
+    """The query's scans that a pool splits: walked, of length 4 or more."""
+    return [scan for scan in enumeration._plans(query)
+            if scan[0] >= 4 and enumeration._closed_profile(scan) is None]
+
+
+def test_one_pool_per_call(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pools = _recording_pool(monkeypatch)
+    # MED strictness keeps the scans of f = 24 on the walker, several of
+    # them of length 4 or more: one pool for all of them
+    query = CountQuery(frobenius=24, med=True)
+    assert count_words(query, threads=2) == count_words(query)
+    assert [workers for workers, _ in pools] == [2]
+    assert enumeration._count(query, 2) == (count_words(query), 2)
+    # the other counters run serially
+    genus_histogram(query)
+    enumeration.count_by_length(query)
+    assert len(pools) == 2
+    # a scan shorter than 4 runs serially, and so does every unfiltered
+    # scan of f = 20 and f = 24, which has a closed form
+    for serial in (CountQuery(frobenius=23, length=3, med=True),
+                   CountQuery(frobenius=24, length=3),
+                   CountQuery(frobenius=20), CountQuery(frobenius=24)):
+        assert enumeration._count(serial, 2) == (count_words(serial), 1)
+    assert len(pools) == 2
+
+
+def test_one_pool_task_per_worker(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    pools = _recording_pool(monkeypatch)
+    for query in (CountQuery(length=7, depth_max=3),
+                  CountQuery(frobenius=24, med=True),
+                  CountQuery(frobenius=30, contains=(17,))):
+        walked = _walked(query)
+        assert walked
+        pools.clear()
+        assert count_words(query, threads=2) == count_words(query)
+        (workers, tasks), = pools
+        assert workers == 2
+        # each task is a non-empty tuple of pinned scans of one walked
+        # scan, and no scan has more tasks than workers
+        owners = [[scan for scan in walked
+                   if set(task) <= set(enumeration._pinned(scan))]
+                  for task in tasks]
+        assert all(task and len(owner) == 1
+                   for task, owner in zip(tasks, owners))
+        assert max(Counter(owner[0] for owner in owners).values()) <= 2
     # a depth bound is one walked box: one share of it per worker
     box = CountQuery(length=7, depth_max=3)
-    assert count_words(box, threads=2) == count_words(box)
-    assert len(mapped) == 1 and len(mapped[0]) == 2
-    # two shares for every walked scan of length 4 or more
-    med = CountQuery(frobenius=24, med=True)
-    walked = [scan for scan in enumeration._plans(med)
-              if scan[0] >= 4 and enumeration._closed_profile(scan) is None]
-    assert walked
-    assert count_words(med, threads=2) == count_words(med)
-    assert len(mapped) == 2 and len(mapped[1]) == 2 * len(walked)
+    pools.clear()
+    count_words(box, threads=2)
+    assert [len(tasks) for _, tasks in pools] == [2]
 
 
 def test_pool_size_is_capped_at_the_cores(monkeypatch):
@@ -236,14 +248,29 @@ def test_pool_size_is_capped_at_the_cores(monkeypatch):
         raise AssertionError("a pool was opened")
 
     monkeypatch.setattr("kunzlab.enumeration.Pool", no_pool)
-    # 67,650 depth-2 prefixes, but never more workers than cores
+    # 90,000 pinned scans, but never more workers than cores
     query = CountQuery(length=4, depth_max=300)
-    assert enumeration.pool_size(query, 10 ** 6) <= (os.cpu_count() or 1)
+    assert enumeration._tasks(query, 10 ** 6)[2] <= (os.cpu_count() or 1)
     # capped at one worker, a pooled query runs serially
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     med = CountQuery(frobenius=24, med=True)
-    assert enumeration.pool_size(med, 2) == 1
-    assert count_words(med, threads=2) == count_words(med)
+    assert enumeration._count(med, 2) == (count_words(med), 1)
+
+
+def test_pinned_scans_partition_each_walked_scan():
+    # the box, the MED cells of f = 24 and the contains cells of f = 22
+    # that hold 6: the pinned scans fold to the whole scan's histogram,
+    # and their words, in order, are its words
+    scans = (_walked(CountQuery(length=7, depth_max=3))
+             + _walked(CountQuery(frobenius=24, med=True))
+             + _walked(CountQuery(frobenius=22, contains=(6,))))
+    assert len(scans) > 3
+    for scan in scans:
+        pinned = enumeration._pinned(scan)
+        assert enumeration._fold(tuple(pinned)) == \
+            enumeration._fold((scan,))
+        words = [word for part in pinned for word in enumeration._words(part)]
+        assert words == list(enumeration._words(scan))
 
 
 def test_plans_hold_only_scans_with_words(monkeypatch):
@@ -252,7 +279,7 @@ def test_plans_hold_only_scans_with_words(monkeypatch):
     # the last q's position; no such scan is planned, walked or pooled
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     med = CountQuery(frobenius=6, length=14, med=True)
-    assert enumeration.pool_size(med, 2) == 1
+    assert enumeration._tasks(med, 2) == ([], [], 1)
     assert len(enumeration._plans(CountQuery(frobenius=22, contains=(6,)))) == 3
     assert len(enumeration._plans(CountQuery(frobenius=30, contains=(7,)))) == 2
     for query in (med, CountQuery(frobenius=6, length=14),
@@ -320,7 +347,7 @@ def test_closed_genus_polynomials_match_walker():
         depth4 += profile[0] == 4
         deep += profile[0] >= 5
         assert _trimmed(enumeration._closed_form(scan[0], *profile)) == \
-            _trimmed(enumeration._fold((scan, 0, 1)))
+            _trimmed(enumeration._fold((scan,)))
     assert closed > 300
     assert depth4 >= 78
     assert deep >= 132

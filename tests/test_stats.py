@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from kunzlab import enumeration
 from kunzlab.bounds import stressed3_upper_bounds
 from kunzlab.enumeration import count_words
 from kunzlab.refdata import load_table1
@@ -121,23 +120,9 @@ def test_mult_distribution_small():
     assert d.pairs == ((-14, 1), (-10, 1), (-8, 2), (-6, 4), (-4, 8),
                        (-2, 16), (2, 8))
     assert d.total == 40
+    assert mult_distribution(30).total == count_words(CountQuery(frobenius=30))
     with pytest.raises(ValueError):
         mult_distribution(0)
-
-
-def test_mult_distribution_opens_one_pool(monkeypatch):
-    opened = []
-    real_pool = enumeration.Pool
-
-    def counting_pool(*args, **kwargs):
-        opened.append(kwargs.get("processes"))
-        return real_pool(*args, **kwargs)
-
-    monkeypatch.setattr("kunzlab.enumeration.Pool", counting_pool)
-    d = mult_distribution(30, threads=2)
-    assert len(opened) <= 1
-    assert d == mult_distribution(30)
-    assert d.total == count_words(CountQuery(frobenius=30))
 
 
 def test_limit_mult_mass_edge_cases():

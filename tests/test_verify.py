@@ -62,21 +62,39 @@ def test_orbit_matches_every_permutation(n):
         assert seen == labeled
 
 
-@pytest.mark.parametrize("dropped", [0, -1])
+@pytest.mark.parametrize("dropped", [0, 3, -1])
 def test_hom_suite_needs_every_transposition(monkeypatch, dropped):
-    # without (1 2) or (n-1 n) the rest generate a smaller group, whose
-    # orbits split the classes
+    # without (1 2), (4 5) or (n-1 n) the rest generate a smaller group,
+    # whose orbits split the classes: the check itself must see that the
+    # class count of some (n, d) is off, not only this test's total
     tables = verify._swap_tables
 
     def mutant(n, bit):
         swaps = tables(n, bit)
-        del swaps[dropped]
+        if dropped < len(swaps):
+            del swaps[dropped]
         return swaps
 
     monkeypatch.setattr(verify, "_swap_tables", mutant)
     result = verify.check_hom_suite()
-    assert not (result.passed and "over 23 shapes covering 23608 labeled "
-                "regular graphs" in result.detail)
+    assert not result.passed
+    assert "-regular graphs on " in result.detail
+    assert "vertices fall into" in result.detail
+
+
+def _partitions(n: int, least: int) -> int:
+    """Partitions of n into parts of at least ``least``."""
+    return 1 if not n else sum(_partitions(n - part, part)
+                               for part in range(least, n + 1))
+
+
+def test_shapes_match_independent_counts():
+    # a 1-regular graph is a perfect matching, a 2-regular graph a union
+    # of cycles; 4 + 10 + 9 classes in all
+    assert verify._SHAPES[1] == {n: 1 for n in range(2, 9, 2)}
+    assert verify._SHAPES[2] == {n: _partitions(n, 3) for n in range(3, 9)}
+    assert [sum(row.values()) for _, row in sorted(verify._SHAPES.items())] \
+        == [4, 10, 9]
 
 
 @pytest.mark.parametrize("index", [0, 1000])
