@@ -20,7 +20,9 @@ can fail: :func:`_subset_scan` holds that rule for every depth and answers
 every q >= 4, and :func:`_stressed3_scan` (S_j) is its tuned q = 3 case.  The
 paper's count floor((q+1)^2/4)^(f/(2q-2)) makes depth 2 and depth 3 (about
 2^(f/2) words) outgrow every deeper layer, and S_j is the paper's stressed
-table, which is why that case is tuned.
+table, which is why that case is tuned: it searches the positions of the 1s
+only up to about the last quarter of the word, and bins that quarter from
+one table, since those positions meet only the first quarter.
 
 One walker, :func:`_walk`, searches the cells that a filter changed (MED
 strictness, a cap lowered by ``contains``), the depth-bound boxes, and the
@@ -484,6 +486,19 @@ def _stressed3_scan(length: int) -> tuple[int, ...]:
     depend only on |S| and on u = |S u (S+S)| below the final position, so
     leaves are binned by (u, |S|) and each bin is expanded once.
 
+    The search over S stops at the cut c = length - k and bins the k top
+    positions c..length-1 in bulk, with k = (length - 5) // 4 from length 11
+    on and k = 0 below, where the table would cost more than it saves.
+    Near that k the time barely moves with k, while the nodes kept at the
+    cut double with each step, so k sits at the low end.  As k < length/2,
+    a top position p meets the rest of S only through H, the positions of S
+    in 1..k: its partner length - p lies in 1..k, a sum p + s below the
+    final position needs s < k, and two top positions sum past it.  So a
+    node at the cut is binned by H, the covered top positions, u so far and
+    |S|.  Each (H, covered top) pair is then expanded once, from a table
+    over the top subsets T whose partners miss H: T adds |T| to |S|, and to
+    u the top positions that T u (T+H) covers and the walk had not.
+
     This is the rule set of :func:`_subset_scan` for q = 3 and j = length,
     tuned: the only low value is 1, and the big slot {2,3} is forced to 2
     exactly on S+S.  Every deeper scan runs in :func:`_subset_scan` itself.
@@ -492,29 +507,70 @@ def _stressed3_scan(length: int) -> tuple[int, ...]:
         raise ValueError("length must be nonnegative")
     if length == 0:
         return (1,)
+    k = (length - 5) // 4 if length > 10 else 0
+    cut = length - k
     top = 1 << length
-    low_mask = top - 2  # bits 1 .. length-1
     full_mask = (top << 1) - 1
-    bins = [0] * (length * length)  # index u * length + |S|, both < length
-    # stack entries: (next candidate position, S mask, S u (S+S) mask, |S|)
+    below = (1 << cut) - 2  # bits 1 .. cut-1
+    heads = (1 << (k + 1)) - 2  # bits 1 .. k, the top positions' partners
+    square = length * length
+    # nodes at the cut, keyed by (H << k | covered top) * square
+    # + u * length + |S|, with u counting the covered positions below the cut
+    nodes: dict[int, int] = {}
+    # stack entries: (next candidate position, S mask, S u (S+S) mask, |S|);
+    # an entry leaves out every position up to the cut, pushing each branch
+    # that puts one in S instead
     stack = [(1, 0, 0, 0)]
     while stack:
         p, smask, umask, size = stack.pop()
-        if p == length:
-            bins[(umask & low_mask).bit_count() * length + size] += 1
-            continue
-        stack.append((p + 1, smask, umask, size))
-        new_s = smask | (1 << p)
-        new_u = (umask | (1 << p) | (new_s << p)) & full_mask
-        if not new_u & top:
-            stack.append((p + 1, new_s, new_u, size + 1))
+        while p < cut:
+            bit = 1 << p
+            new_s = smask | bit
+            new_u = (umask | bit | new_s << p) & full_mask
+            if not new_u & top:
+                stack.append((p + 1, new_s, new_u, size + 1))
+            p += 1
+        key = (umask & below).bit_count() * length + size
+        if k:
+            key += ((smask & heads) << k | umask >> cut) * square
+        nodes[key] = nodes.get(key, 0) + 1
+    bins = nodes
+    if k:
+        window = (1 << k) - 1  # top position c + i at bit i
+        bins = {}
+        last = None
+        # sorted, the nodes of one (H, covered top) pair come together, so
+        # each pair's table is built once and dropped
+        for key in sorted(nodes):
+            pair, base = divmod(key, square)
+            if pair != last:
+                last = pair
+                h_mask, seen = divmod(pair, 1 << k)
+                h = [a for a in range(1, k + 1) if h_mask >> a & 1]
+                # c + i has its partner at k - i, and c + i + a is a top
+                # position when i + a < k
+                allowed = window & ~sum(1 << (k - a) for a in h)
+                table: dict[int, int] = {}
+                sub = allowed
+                while True:
+                    cover = sub
+                    for a in h:
+                        cover |= sub << a
+                    off = ((cover & window | seen).bit_count() * length
+                           + sub.bit_count())
+                    table[off] = table.get(off, 0) + 1
+                    if not sub:
+                        break
+                    sub = (sub - 1) & allowed
+            n = nodes[key]
+            for off, m in table.items():
+                bins[base + off] = bins.get(base + off, 0) + n * m
+    # every entry at its least: 1 on S, 2 elsewhere below the final 3
+    least = 2 * length + 1
     shifted: dict[tuple[int, int], int] = {}
-    for key, n in enumerate(bins):
-        if n:
-            ubits, size = divmod(key, length)
-            free = length - 1 - ubits
-            # ones, forced twos, the final 3, and the free positions' 2s
-            shifted[size + 2 * (ubits - size) + 3 + 2 * free, free] = n
+    for key, n in bins.items():
+        ubits, size = divmod(key, length)
+        shifted[least - size, length - 1 - ubits] = n
     return _expand(shifted)
 
 

@@ -1,6 +1,10 @@
 """End-to-end CLI behavior: payload shapes, exit codes, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -432,3 +436,15 @@ class TestExitCodes:
             assert code == 2
             assert out == ""
             assert "verification failure" not in err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    # ``python -m kunzlab`` is the same program as the ``kunzlab`` script
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-m", "kunzlab", "count", "--f",
+                           "10"], cwd=root, env=env, capture_output=True,
+                          text=True, timeout=60)
+    code, out, _ = run(capsys, "count", "--f", "10")
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert code == 0 and json.loads(out)["count"] == 22

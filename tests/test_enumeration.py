@@ -431,6 +431,26 @@ def test_stressed3_matches_engine(ell):
                               sum(g * n for g, n in walked.items()))
 
 
+def test_stressed3_scan_matches_subset_scan():
+    # the general rule set at q = 3 and j = length shares no code with the
+    # tuned scan's top window: lengths 1..20 cover both parities, the uncut
+    # lengths below 11 and the window sizes k = 1..3 picked from there on
+    for length in range(1, 21):
+        assert enumeration._stressed3_scan(length) == \
+            enumeration._subset_scan(length, 3, length)
+
+
+def test_stressed3_totals_past_the_checked_rows():
+    # (count, genus total) as a leaf-by-leaf walk over S gives them, with no
+    # top window; the counts are rows 25..28 of table1
+    assert [stressed3_genus_total(length) for length in range(25, 29)] == [
+        (6827159829, 377685882371),
+        (13424984452, 777048186211),
+        (42195919228, 2521886067637),
+        (83374340587, 5195390823538),
+    ]
+
+
 @pytest.mark.parametrize("ell", range(0, 10))
 def test_depth_le3_matches_engine(ell):
     expected = 1 if ell == 0 else _walked_count(
