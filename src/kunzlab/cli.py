@@ -4,12 +4,14 @@ self-verification suite.
 
 All result payloads go to stdout and are byte-identical for identical flags
 (worker count included); timing metadata goes to stderr.  Exit codes: 0 on
-success, 1 when a verification fails, 2 on usage errors.
+success, 1 when a verification fails, 2 on usage errors, 141 (128 + SIGPIPE)
+when stdout's reader closes the pipe early.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -17,7 +19,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from itertools import islice
+from itertools import chain
 
 from . import bounds as bounds_mod
 from . import enumeration as eng
@@ -33,9 +35,6 @@ class _Usage(Exception):
 
 # the most rows `plot growth` prints; more are refused before any output
 _GROWTH_ROWS_MAX = 100_000
-
-# words per write of `enumerate`: its output streams, one batch at a time
-_ENUM_BATCH = 4096
 
 
 def _add_query_flags(parser: argparse.ArgumentParser) -> None:
@@ -195,25 +194,28 @@ def _cmd_count(args, out) -> tuple[int, int]:
 
 
 def _cmd_enumerate(args, out) -> int:
-    """Stream the words, ``_ENUM_BATCH`` at a time, with the bytes of one
-    ``json.dumps`` of the whole payload (or of one CSV row per word)."""
+    """Stream the words one merged block at a time, with the bytes of one
+    ``json.dumps`` of the whole payload (or of one CSV row per word).
+
+    The blocks are plain tuples from
+    :func:`kunzlab.enumeration._word_blocks`, whose buffers hold one
+    4096-word batch in all.
+    """
     query = _build_query(args)
-    words = iter(eng.enumerate_words(query))
-    # the first batch is taken before any output, so an error leaves none
-    batch = list(islice(words, _ENUM_BATCH))
+    blocks = eng._word_blocks(query)
+    # the first block is taken before any output, so an error leaves none
+    blocks = chain([next(blocks, [])], blocks)
     if args.format == "csv":
-        while batch:
+        for block in blocks:
             out.write("".join(",".join(map(str, word)) + "\n"
-                              for word in batch))
-            batch = list(islice(words, _ENUM_BATCH))
+                              for word in block))
         return 0
     # the payload with no words, up to the open bracket of its word list
     out.write(json.dumps({"query": _query_echo(query), "words": []})[:-2])
     sep = ""
-    while batch:
-        out.write(sep + json.dumps(batch)[1:-1])
+    for block in blocks:
+        out.write(sep + json.dumps(block)[1:-1])
         sep = ", "
-        batch = list(islice(words, _ENUM_BATCH))
     out.write("]}\n")
     return 0
 
@@ -402,6 +404,15 @@ def main(argv=None) -> int:
             code = _cmd_plot(args, out, ref_dir)
         else:
             code = _cmd_verify(args, out, err)
+        # a reader that has gone shows here, not at the interpreter's exit
+        out.flush()
+    except BrokenPipeError:
+        # stdout's reader left early (`... | head`): no usage error and
+        # nothing to report; closing stdout drops what is still buffered for
+        # it, so the exit flush has nothing left to fail on
+        with contextlib.suppress(OSError):
+            out.close()
+        return 141
     except _Usage as exc:
         print(f"kunzlab: {exc}", file=err)
         return 2

@@ -36,7 +36,11 @@ array.  Enumeration mirrors that split (:func:`_cell_words`): a closed cell
 of depth at most 3 yields its words from the product its closed form
 describes (a free {1,2} head at q = 2; the stressed depth-3 words of length
 j, walked, times free {1,2} tails at q = 3), and every other scan expands
-the walker's ranges into words.  Only :func:`count_words` runs in parallel:
+the walker's ranges into words.  The cell streams are merged a block at a
+time (:func:`_merge_blocks`), not a word at a time: the least last word of
+their buffers bounds a block, one C sort merges the pieces below it, and
+the buffers of all the streams together hold one 4096-word batch.  Only
+:func:`count_words` runs in parallel:
 every walked scan of length 4 or more is cut into pinned scans, one for each
 pair of values at positions 1 and 2 (:func:`_pinned`), each worker folds a
 strided share of them as one tuple of scans (:func:`_fold`), and every task
@@ -52,14 +56,14 @@ small depth and are feasible far beyond the generic search.
 
 from __future__ import annotations
 
-import heapq
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, product
+from itertools import accumulate, chain, islice, product, repeat
 from math import comb, isqrt
 from multiprocessing import Pool
-from operator import ge
+from operator import add, ge
 
 from .words import CountQuery, KunzWord
 
@@ -86,6 +90,9 @@ __all__ = [
 # between floors and caps pointwise that satisfy both inequality families,
 # strictly when strict is 1 (the MED words)
 Scan = tuple[int, tuple[int, ...], tuple[int, ...], int]
+
+# words an enumeration holds at once, over all its plans' streams together
+_BATCH = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +254,7 @@ def _cell_words(scan: Scan):
     * q = 1: the word of ones when j = length, else nothing;
     * q = 2: a free {1,2} head of length j-1, the 2 at j, then ones;
     * q = 3: a stressed depth-3 head of length j, each followed by every
-      free {1,2} tail, lazily.
+      free {1,2} tail, lazily; when j = length the heads are the words.
     """
     profile = _closed_profile(scan)
     if profile is None or profile[0] >= 4:
@@ -258,9 +265,13 @@ def _cell_words(scan: Scan):
         return iter([(1,) * length] if j == length else [])
     if q == 2:
         tail = (2,) + (1,) * (length - j)
-        return (head + tail for head in product((1, 2), repeat=j - 1))
-    return (head + tail for head in _words(_frobenius_scan(j, 3, j))
-            for tail in product((1, 2), repeat=length - j))
+        return map(add, product((1, 2), repeat=j - 1), repeat(tail))
+    heads = _words(_frobenius_scan(j, 3, j))
+    if j == length:
+        return heads
+    return chain.from_iterable(
+        map(add, repeat(head), product((1, 2), repeat=length - j))
+        for head in heads)
 
 
 def _fold(scans: tuple[Scan, ...]) -> list[int]:
@@ -444,17 +455,61 @@ def count_by_length(query: CountQuery) -> dict[int, int]:
 def enumerate_words(query: CountQuery):
     """Matching words as ``KunzWord``s, in ascending tuple order.
 
-    Each plan yields its words through :func:`_cell_words`: a closed cell of
-    depth at most 3 from its product structure, any other scan walked.  The
-    streams of the disjoint plans, of one length or several, are merged in
-    plain tuple order, so the output is globally sorted (a shorter prefix
-    first); within one length it is ascending lexicographic.  The plans are
-    built on the call, so a bad query raises before the first word.
+    The words are those of :func:`_word_blocks`, one block after another:
+    each plan's words come from :func:`_cell_words`, and the disjoint
+    streams, of one length or several, are merged block by block in plain
+    tuple order, so the output is globally sorted (a shorter prefix first);
+    within one length it is ascending lexicographic.  At most one batch of
+    words is held at a time.  The plans are built on the call, so a bad
+    query raises before the first word.
     """
-    words = heapq.merge(*map(_cell_words, _plans(query)))
+    words = chain.from_iterable(_word_blocks(query))
     # every entry lies in 1..q by construction, so the words skip KunzWord's
     # entry check
     return map(partial(tuple.__new__, KunzWord), words)
+
+
+def _word_blocks(query: CountQuery):
+    """The query's words as plain tuples in sorted, non-empty blocks, which
+    concatenate in ascending tuple order.
+
+    Each plan's words stream from :func:`_cell_words`, and
+    :func:`_merge_blocks` merges the streams, reading ``_BATCH // plans``
+    words of each at a time, so that all of them together hold at most one
+    batch.  The plans are built on the call, so a bad query raises here.
+    """
+    streams = [_cell_words(scan) for scan in _plans(query)]
+    return _merge_blocks(streams, max(_BATCH // (len(streams) or 1), 1))
+
+
+def _merge_blocks(streams, size: int):
+    """Merge sorted streams of words into sorted, non-empty blocks.
+
+    Each stream is read ``size`` words at a time into its buffer.  The least
+    last word among the buffers bounds a block: every buffer is cut after
+    the bound (``bisect_right``), and the pieces, each a sorted run, become
+    the block through one ``list.sort``, which merges runs in C.  The buffer
+    that set the bound is emptied, so no block is empty, and every word left
+    buffered lies above the bound, so the blocks concatenate in order.
+    Buffers are refilled only after a block is handed out: the block and
+    the buffers together hold at most ``size`` words per stream.
+    """
+    pending = [([], iter(stream)) for stream in streams]
+    while True:
+        for buffer, stream in pending:
+            if not buffer:
+                buffer.extend(islice(stream, size))
+        pending = [pair for pair in pending if pair[0]]
+        if not pending:
+            return
+        bound = min(buffer[-1] for buffer, _ in pending)
+        block = []
+        for buffer, _ in pending:
+            cut = bisect_right(buffer, bound)
+            block += buffer[:cut]
+            del buffer[:cut]
+        block.sort()
+        yield block
 
 # ---------------------------------------------------------------------------
 # subset scans: the stressed depth-3 table, and every Frobenius-number scan

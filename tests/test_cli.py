@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: payload shapes, exit codes, and determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -448,3 +449,34 @@ def test_python_dash_m_runs_the_cli(capsys):
     code, out, _ = run(capsys, "count", "--f", "10")
     assert (proc.returncode, proc.stdout) == (code, out)
     assert code == 0 and json.loads(out)["count"] == 22
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write breaks the pipe."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_broken_pipe_is_not_a_usage_error(capsys, monkeypatch):
+    # 128 + SIGPIPE, with nothing on stderr: no message, no elapsed= line
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = cli.main(["enumerate", "--f", "20"])
+    assert (code, capsys.readouterr().err) == (141, "")
+
+
+def test_broken_pipe_exits_quietly(capsys):
+    # the reader takes 100 bytes and leaves; the interpreter's exit flush
+    # must not report a second broken pipe either
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH="src")
+    with subprocess.Popen([sys.executable, "-m", "kunzlab", "enumerate",
+                           "--f", "40"], cwd=root, env=env,
+                          stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert head.startswith(b'{"query": {"frobenius": 40}, "words": [[')
+    assert err == b""

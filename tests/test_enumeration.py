@@ -8,7 +8,7 @@ closed forms, so agreement here pins both down.
 import os
 from collections import Counter
 from dataclasses import replace
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -81,6 +81,73 @@ def test_cell_words_match_walker():
                 want = list(enumeration._words(scan))
                 assert list(enumeration._cell_words(scan)) == want
                 assert q > 1 or len(want) == (j == length)
+
+
+def _counting(stream, pulled):
+    """``stream``, adding each word it hands out to ``pulled[0]``."""
+    for word in stream:
+        pulled[0] += 1
+        yield word
+
+
+def _assert_blocks(blocks, streams, size, pulled):
+    """The blocks are non-empty and sorted and concatenate to the sorted
+    words of ``streams``; each block together with the words buffered
+    behind it (pulled from the streams, not yet handed out) is at most
+    ``size`` words per stream; and since every block empties a buffer,
+    there are no more blocks than buffer fills of ``size`` words."""
+    want = sorted(chain.from_iterable(streams))
+    got = []
+    count = 0
+    for block in blocks:
+        assert block and block == sorted(block)
+        assert pulled[0] - len(got) <= size * len(streams)
+        got += block
+        count += 1
+    assert got == want
+    assert count <= sum(-(-len(stream) // size) for stream in streams)
+
+
+# depth-exact length queries with length <= 8 and q <= 4, each plain, MED,
+# stressed and with a `contains` that lowers a cap, and one depth-bound box
+MERGED_QUERIES = [CountQuery(frobenius=f) for f in range(31)] + [
+    CountQuery(length=length, depth_exact=q, **extra)
+    for length in range(1, 9) for q in range(1, 5)
+    for extra in ({}, dict(med=True), dict(stressed=True),
+                  dict(contains=(length + 3,)))
+] + [CountQuery(length=6, depth_max=3)]
+
+
+def test_word_blocks_match_sorted_cells(monkeypatch):
+    # the oracle sorts every cell's words at once and shares no code with
+    # the block merge; the merge reads 4096 // plans words of each cell at
+    # a time, one batch in all
+    cell_words = enumeration._cell_words
+    pulled = [0]
+    monkeypatch.setattr(enumeration, "_cell_words",
+                        lambda scan: _counting(cell_words(scan), pulled))
+    for query in MERGED_QUERIES:
+        cells = [list(cell_words(scan)) for scan in enumeration._plans(query)]
+        size = max(4096 // max(len(cells), 1), 1)
+        pulled[0] = 0
+        _assert_blocks(enumeration._word_blocks(query), cells, size, pulled)
+        assert list(enumerate_words(query)) == sorted(chain(*cells))
+
+
+def test_merge_blocks_on_hand_made_streams():
+    # a longer word can fall between two words of another stream
+    chain_streams = [[(1, 2), (1, 3)], [(1, 2, 1)], [(1, 2, 2), (1, 2, 3)]]
+    words = [w for n in (1, 2, 3) for w in product((1, 2, 3), repeat=n)]
+    cases = [chain_streams, [], [[], []], [[], [(2,)], []], [sorted(words)],
+             [sorted(words[::2]), [], sorted(words[1::2])]]
+    cases += [[sorted(words[i::k]) for i in range(k)] for k in (3, 5)]
+    cases += [[sorted(w for w in words if w[0] == i) for i in (3, 1, 2)]]
+    for streams in cases:
+        for size in (1, 2, 7, len(words) + 1):
+            pulled = [0]
+            counted = [_counting(stream, pulled) for stream in streams]
+            _assert_blocks(enumeration._merge_blocks(counted, size), streams,
+                           size, pulled)
 
 
 FILTER_QUERIES = [
