@@ -51,15 +51,20 @@ def _add_query_flags(parser: argparse.ArgumentParser) -> None:
                         help="only semigroups containing N")
 
 
+def positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError("must be positive")
+    return int(text)
+
+
 def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker processes for the walked scans of "
-                             "length 4 or more of a count (MED, --contains, "
-                             "a length with --depth-max), at most the cores "
-                             "available (default: all available cores); an "
-                             "unfiltered Frobenius query has a closed form "
-                             "and runs serially, and dist accepts the flag "
-                             "and always runs serially")
+    parser.add_argument("--threads", type=positive_int, default=None,
+                        help="worker processes, at most the cores available "
+                             "(default: all), for the walked scans of length "
+                             "4 or more of a count (MED, --contains, a length "
+                             "with --depth-max), one task each on one pool; "
+                             "an unfiltered Frobenius query has a closed form "
+                             "and runs serially, and so does every dist")
 
 
 @functools.cache
@@ -164,14 +169,6 @@ def _query_echo(query: CountQuery) -> dict:
     return echo
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise _Usage("--threads must be positive")
-        return args.threads
-    return os.cpu_count() or 1
-
-
 def _fraction_payload(value: Fraction | int) -> tuple[int, int]:
     frac = Fraction(value)
     return frac.numerator, frac.denominator
@@ -184,7 +181,7 @@ def _emit_json(payload: dict, out) -> None:
 def _cmd_count(args, out) -> tuple[int, int]:
     """Print the count; return the exit code and the workers started."""
     query = _build_query(args)
-    count, workers = eng._count(query, _threads(args))
+    count, workers = eng._count(query, args.threads or os.cpu_count() or 1)
     if args.format == "csv":
         print("count", file=out)
         print(count, file=out)
@@ -195,7 +192,8 @@ def _cmd_count(args, out) -> tuple[int, int]:
 
 def _cmd_enumerate(args, out) -> int:
     """Stream the words one merged block at a time, with the bytes of one
-    ``json.dumps`` of the whole payload (or of one CSV row per word).
+    ``json.dumps`` of the whole payload (or of one CSV row per word, cut
+    from the same encoding of each block).
 
     The blocks are plain tuples from
     :func:`kunzlab.enumeration._word_blocks`, whose buffers hold one
@@ -206,9 +204,11 @@ def _cmd_enumerate(args, out) -> int:
     # the first block is taken before any output, so an error leaves none
     blocks = chain([next(blocks, [])], blocks)
     if args.format == "csv":
+        # "[[1, 2], [2, 1]]" -> "1,2\n2,1\n"
         for block in blocks:
-            out.write("".join(",".join(map(str, word)) + "\n"
-                              for word in block))
+            if block:
+                rows = json.dumps(block)[2:-2].replace("], [", "\n")
+                out.write(rows.replace(", ", ",") + "\n")
         return 0
     # the payload with no words, up to the open bracket of its word list
     out.write(json.dumps({"query": _query_echo(query), "words": []})[:-2])
@@ -258,7 +258,6 @@ def _cmd_constants(args, out, ref_dir) -> int:
 def _cmd_dist(args, out) -> int:
     if args.f < 3:
         raise _Usage("--f must be at least 3")
-    _threads(args)  # checked, though every dist runs serially
     if args.which == "mult":
         dist = stats_mod.mult_distribution(args.f)
     else:

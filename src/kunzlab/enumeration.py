@@ -42,9 +42,9 @@ their buffers bounds a block, one C sort merges the pieces below it, and
 the buffers of all the streams together hold one 4096-word batch.  Only
 :func:`count_words` runs in parallel:
 every walked scan of length 4 or more is cut into pinned scans, one for each
-pair of values at positions 1 and 2 (:func:`_pinned`), each worker folds a
-strided share of them as one tuple of scans (:func:`_fold`), and every task
-of a call runs on one worker pool.
+pair of values at positions 1 and 2 (:func:`_pinned`), the pinned scans of
+the whole call are dealt once into one task per worker of one pool
+(:func:`_count`), and each worker folds its task as one tuple (:func:`_fold`).
 :func:`_walked_histogram` folds every scan through the walker alone: it is
 the oracle the closed forms are checked against.
 
@@ -275,10 +275,10 @@ def _cell_words(scan: Scan):
 
 
 def _fold(scans: tuple[Scan, ...]) -> list[int]:
-    """Genus histogram, indexed by genus, of disjoint scans of one length.
+    """Genus histogram, indexed by genus, of disjoint scans of any lengths.
 
-    ``(scan,)`` is one whole scan; a pool task is a share of the pinned
-    scans that :func:`_pinned` cuts a scan into.
+    ``(scan,)`` is one whole scan; a pool task is one worker's share of the
+    pinned scans of a whole call (:func:`_count`).
     """
     diff = [0] * (max(sum(scan[1]) for scan in scans) + 2)
     for scan in scans:
@@ -370,37 +370,35 @@ def _pinned(scan: Scan) -> list[Scan]:
             for b in range(floors[1], caps[1] + 1)]
 
 
-def _tasks(query: CountQuery, threads: int):
-    """The query's serial scans, its pool tasks and its worker count.
-
-    ``threads`` is capped at the cores available.  With two or more left,
-    each walked scan of length 4 or more is cut into its pinned scans
-    (:func:`_pinned`), and worker k takes every cap-th of them from the k-th
-    on as one task for :func:`_fold`; a scan with one pinned scan is not
-    cut.  The rest runs whole in the caller.  ``workers`` is the cap, or
-    the task count if smaller, and 1 when nothing is pooled.
-    """
-    cap = min(threads, os.cpu_count() or 1)
-    serial, tasks = [], []
-    for scan in _plans(query):
-        walked = cap > 1 and scan[0] >= 4 and _closed_profile(scan) is None
-        pinned = _pinned(scan) if walked else []
-        if len(pinned) > 1:
-            tasks += (tuple(pinned[k::cap])
-                      for k in range(min(cap, len(pinned))))
-        else:
-            serial.append(scan)
-    return serial, tasks, min(cap, len(tasks)) or 1
-
-
 def _count(query: CountQuery, threads: int) -> tuple[int, int]:
     """The query's word count, and the worker processes it started (1 when
-    it ran serially): every task of the call runs on one pool."""
-    serial, tasks, workers = _tasks(query, threads)
-    count = sum(sum(_solve(scan)) for scan in serial)
-    if tasks:
-        with Pool(processes=workers) as pool:
-            count += sum(map(sum, pool.map(_fold, tasks)))
+    it ran serially).
+
+    ``threads`` is capped at the cores available.  With two or more left,
+    the pinned scans (:func:`_pinned`) of each walked scan of length 4 or
+    more are dealt in stride into ``cap`` tasks, each scan starting one
+    task on from the last, so that a pair heavy in every scan, like (2, 2)
+    in the depth-2 MED cells, goes round the workers (a plain stride put
+    it on one, and ``count --f 52 --med`` ran a quarter slower on two).
+    The tasks that got a scan run on one pool, one per worker; the rest,
+    and a lone pinned scan, are solved in the caller.
+    """
+    cap = min(threads, os.cpu_count() or 1)
+    count, tasks = 0, [[] for _ in range(cap)]
+    for scan in _plans(query):
+        if cap > 1 and scan[0] >= 4 and _closed_profile(scan) is None:
+            pinned = _pinned(scan)
+            for k, task in enumerate(tasks):
+                task += pinned[k::cap]
+            tasks.append(tasks.pop(0))
+        else:
+            count += sum(_solve(scan))
+    tasks = [tuple(task) for task in tasks if task]
+    workers = len(tasks)
+    if workers < 2:
+        return count + sum(map(sum, map(_fold, tasks))), 1
+    with Pool(processes=workers) as pool:
+        count += sum(map(sum, pool.map(_fold, tasks)))
     return count, workers
 
 
@@ -438,8 +436,8 @@ def count_words(query: CountQuery, threads: int = 1) -> int:
     """Number of Kunz words matching the query.
 
     With ``threads > 1`` the walked scans of length 4 or more run on one
-    pool of at most ``threads`` worker processes, each scan cut into its
-    pinned scans (see :func:`_tasks`); the count does not depend on it.
+    pool of at most ``threads`` worker processes, one task per worker (see
+    :func:`_count`); the count does not depend on it.
     """
     return _count(query, threads)[0]
 

@@ -273,17 +273,14 @@ def hom_kdd(d: int, q: int) -> int:
 
     Classify each side of the bipartition by its minimum image value: a side
     whose minimum is x has (q-x+1)^d - (q-x)^d assignments, and two sides are
-    compatible exactly when their minima sum to at least q.
+    compatible exactly when their minima sum to at least q.  The sides whose
+    minimum is at least q - a telescope to min(a+1, q)^d assignments, so one
+    sum over a suffices.
     """
     if d < 1 or q < 1:
         raise ValueError("d and q must be at least 1")
-
-    def n_min(x: int) -> int:
-        return (q - x + 1) ** d - (q - x) ** d
-
-    return sum(n_min(a) * n_min(b)
-               for a in range(1, q + 1) for b in range(1, q + 1)
-               if a + b >= q)
+    return sum(((q - a + 1) ** d - (q - a) ** d) * min(a + 1, q) ** d
+               for a in range(1, q + 1))
 
 
 # ---------------------------------------------------------------------------

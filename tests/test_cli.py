@@ -69,6 +69,7 @@ ENUMERATE_ARGVS = (
        ("--f", "14", "--depth-max", "2"), ("--ell", "6", "--depth", "3"),
        ("--ell", "5", "--depth-max", "3", "--med"),
        ("--f", "14", "--contains", "-3"),  # no words
+       ("--ell", "0", "--depth-max", "2"),  # no words: CSV prints nothing
        ("--f", "27",)]  # 16,132 words, several write batches
 )
 
@@ -408,7 +409,7 @@ class TestExitCodes:
 
     def test_bad_threads(self, capsys):
         assert run(capsys, "count", "--f", "9", "--threads", "0")[0] == 2
-        # dist runs serially, but still checks the flag
+        # dist runs serially, but its parser still checks the flag
         assert run(capsys, "dist", "genus", "--f", "20",
                    "--threads", "0")[0] == 2
 

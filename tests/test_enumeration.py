@@ -5,10 +5,12 @@ filters by definition; it is independent of the engine's pruning and of the
 closed forms, so agreement here pins both down.
 """
 
+import contextlib
 import os
 from collections import Counter
 from dataclasses import replace
 from itertools import chain, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -286,42 +288,52 @@ def test_one_pool_per_call(monkeypatch):
 def test_one_pool_task_per_worker(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     pools = _recording_pool(monkeypatch)
+    # a depth bound is one walked box; MED and contains keep several cells
+    # on the walker: one deal of all their pinned scans, one task per worker
     for query in (CountQuery(length=7, depth_max=3),
                   CountQuery(frobenius=24, med=True),
                   CountQuery(frobenius=30, contains=(17,))):
-        walked = _walked(query)
-        assert walked
+        pinned = [part for scan in _walked(query)
+                  for part in enumeration._pinned(scan)]
+        assert len(pinned) > 2
         pools.clear()
         assert count_words(query, threads=2) == count_words(query)
         (workers, tasks), = pools
-        assert workers == 2
-        # each task is a non-empty tuple of pinned scans of one walked
-        # scan, and no scan has more tasks than workers
-        owners = [[scan for scan in walked
-                   if set(task) <= set(enumeration._pinned(scan))]
-                  for task in tasks]
-        assert all(task and len(owner) == 1
-                   for task, owner in zip(tasks, owners))
-        assert max(Counter(owner[0] for owner in owners).values()) <= 2
-    # a depth bound is one walked box: one share of it per worker
-    box = CountQuery(length=7, depth_max=3)
+        assert workers == 2 == len(tasks)
+        # the tasks are disjoint, and together they are every pinned scan
+        dealt = [part for task in tasks for part in task]
+        assert sorted(dealt) == sorted(pinned)
+        assert len(set(dealt)) == len(dealt)
+    # (2, 2), the heaviest pair of each depth-2 MED cell, is its cell's last
+    # pinned scan: each cell starts its deal one worker on, so those pairs
+    # go to both workers, not all to one
     pools.clear()
-    count_words(box, threads=2)
-    assert [len(tasks) for _, tasks in pools] == [2]
+    count_words(CountQuery(frobenius=24, med=True), threads=2)
+    (_, tasks), = pools
+    assert [sum(scan[2][:2] == (2, 2) and max(scan[1]) == 2 for scan in task)
+            for task in tasks] == [5, 5]
 
 
 def test_pool_size_is_capped_at_the_cores(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was opened")
+    opened = []
 
-    monkeypatch.setattr("kunzlab.enumeration.Pool", no_pool)
+    def zero_pool(processes):
+        # records the pool's size and folds nothing: every task counts 0
+        opened.append(processes)
+        pool = SimpleNamespace(map=lambda fn, tasks: [[0] for _ in tasks])
+        return contextlib.nullcontext(pool)
+
+    monkeypatch.setattr("kunzlab.enumeration.Pool", zero_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     # 90,000 pinned scans, but never more workers than cores
     query = CountQuery(length=4, depth_max=300)
-    assert enumeration._tasks(query, 10 ** 6)[2] <= (os.cpu_count() or 1)
+    assert enumeration._count(query, 10 ** 6) == (0, 3)
+    assert opened == [3]
     # capped at one worker, a pooled query runs serially
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     med = CountQuery(frobenius=24, med=True)
     assert enumeration._count(med, 2) == (count_words(med), 1)
+    assert opened == [3]
 
 
 def test_pinned_scans_partition_each_walked_scan():
@@ -344,9 +356,14 @@ def test_plans_hold_only_scans_with_words(monkeypatch):
     # a cap below its floor leaves a scan without words: a q = 1 cell
     # longer than f, or a cap that contains lowered below 1, or below q at
     # the last q's position; no such scan is planned, walked or pooled
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was opened")
+
+    monkeypatch.setattr("kunzlab.enumeration.Pool", no_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     med = CountQuery(frobenius=6, length=14, med=True)
-    assert enumeration._tasks(med, 2) == ([], [], 1)
+    assert enumeration._plans(med) == []
+    assert enumeration._count(med, 2) == (0, 1)
     assert len(enumeration._plans(CountQuery(frobenius=22, contains=(6,)))) == 3
     assert len(enumeration._plans(CountQuery(frobenius=30, contains=(7,)))) == 2
     for query in (med, CountQuery(frobenius=6, length=14),

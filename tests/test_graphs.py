@@ -250,6 +250,18 @@ def test_hom_kdd_closed_form():
         hom_kdd(0, 3)
 
 
+def test_hom_kdd_matches_the_sum_over_both_minima():
+    # a side of minimum x has (q-x+1)^d - (q-x)^d assignments, and two
+    # sides fit when their minima sum to at least q
+    for d in range(1, 9):
+        for q in range(1, 41):
+            n_min = [(q - x + 1) ** d - (q - x) ** d for x in range(q + 1)]
+            pairs = sum(n_min[a] * n_min[b]
+                        for a in range(1, q + 1) for b in range(1, q + 1)
+                        if a + b >= q)
+            assert hom_kdd(d, q) == pairs, (d, q)
+
+
 def brute_heads(h: int, q: int, positions) -> int:
     """Head assignments whose pair sums onto the given positions reach q.
 
