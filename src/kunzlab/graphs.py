@@ -391,24 +391,30 @@ def graph_from_text(text: str,
     """Inverse of :func:`graph_to_text` (labels are not carried).
 
     A vertex count above ``max_vertices`` is refused, with the message of
-    :func:`hom_count`'s guard, before the graph is built.
+    :func:`hom_count`'s guard, before the graph is built.  A line that is
+    neither a comment nor two integers raises ``ValueError`` naming its
+    1-based number and its text.
     """
     vertex_count = None
     red: list[int] = []
     edges: list[tuple[int, int]] = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("vertices:"):
-                vertex_count = int(body.split(":", 1)[1])
-            elif body.startswith("red:"):
-                red = [int(tok) for tok in body.split(":", 1)[1].split()]
-            continue
-        u, v = line.split()
-        edges.append((int(u), int(v)))
+        try:
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("vertices:"):
+                    vertex_count = int(body.split(":", 1)[1])
+                elif body.startswith("red:"):
+                    red = [int(tok) for tok in body.split(":", 1)[1].split()]
+                continue
+            u, v = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"graph text line {number} is malformed: "
+                             f"{line!r}") from None
+        edges.append((u, v))
     if vertex_count is None:
         vertex_count = max((max(u, v) for u, v in edges), default=0)
         vertex_count = max(vertex_count, max(red, default=0))

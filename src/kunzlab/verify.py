@@ -22,6 +22,7 @@ import itertools
 import math
 import random
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -212,29 +213,46 @@ def _hom_oracle(pattern: gr.LabeledGraph, target: gr.LabeledGraph) -> int:
 
 
 def _labeled_regular(n: int, d: int):
-    """Yield the edge tuple of every loop-free d-regular graph on 1..n.
+    """Yield the edge-bit mask of every loop-free d-regular graph on 1..n.
 
-    The lowest vertex still below degree d takes its missing neighbours from
-    the higher vertices still below d, so each graph comes once, with its
-    edges in lexicographic order.
+    Bit i stands for the i-th pair of ``combinations(range(1, n + 1), 2)``,
+    so a mask fits the unsigned 64-bit entries of an ``array("Q")`` up to
+    n = 11.  The lowest vertex still below degree d takes its missing
+    neighbours from the higher vertices still below d, so each graph comes
+    once, and the edge tuples, read off in lexicographic order, increase
+    from graph to graph.  The completions of a degree vector are listed
+    once, in one table shared by every prefix that reaches that vector: an
+    entry is the picked bits ORed with a completion of the child vector.
     """
     if d >= n or (n * d) % 2:
         return
+    bit = {pair: 1 << i for i, pair in
+           enumerate(itertools.combinations(range(n), 2))}
+    table = {(d,) * n: array("Q", [0])}
 
-    def rec(deg: list[int], edges: tuple):
-        low = next((u for u in range(1, n + 1) if deg[u] < d), None)
-        if low is None:
-            yield edges
-            return
-        free = [v for v in range(low + 1, n + 1) if deg[v] < d]
-        for picked in itertools.combinations(free, d - deg[low]):
-            after = deg.copy()
-            after[low] = d
-            for v in picked:
-                after[v] += 1
-            yield from rec(after, edges + tuple((low, v) for v in picked))
+    def completions(deg: tuple[int, ...]) -> array:
+        done = table.get(deg)
+        if done is None:
+            done = table[deg] = array("Q")
+            low = next(u for u in range(n) if deg[u] < d)
+            free = [v for v in range(low + 1, n) if deg[v] < d]
+            for picked in itertools.combinations(free, d - deg[low]):
+                after = list(deg)
+                after[low] = d
+                mask = 0
+                for v in picked:
+                    after[v] += 1
+                    mask |= bit[low, v]
+                done.extend([mask | rest
+                             for rest in completions(tuple(after))])
+        return done
 
-    yield from rec([0] * (n + 1), ())
+    yield from completions((0,) * n)
+
+
+def _edges(mask: int, pairs: list[tuple[int, int]]) -> tuple:
+    """The edges of a graph given its edge-bit mask, in ``pairs`` order."""
+    return tuple(pair for i, pair in enumerate(pairs) if mask >> i & 1)
 
 
 def _swap_tables(n: int,
@@ -308,11 +326,12 @@ def check_hom_suite() -> CheckResult:
     """Closed form vs. oracle, dominance, regularization, and the power test."""
 
     def body():
+        targets = {q: gr.threshold_target(q) for q in range(1, 6)}
         # closed form == brute force == search, on complete bipartite pairs
         for d in range(1, 4):
             pattern = gr.complete_bipartite(d, d)
             for q in range(1, 6):
-                target = gr.threshold_target(q)
+                target = targets[q]
                 want = _hom_oracle(pattern, target)
                 if gr.hom_kdd(d, q) != want:
                     return False, f"hom_kdd differs from oracle at {(d, q)}"
@@ -343,7 +362,7 @@ def check_hom_suite() -> CheckResult:
                 return False, f"vertex bound fails for {graph!r} with d={d}"
             qs = (2, 3, 4) if padded.vertex_count <= 9 else (2, 3)
             for q in qs:
-                target = gr.threshold_target(q)
+                target = targets[q]
                 before = gr.hom_count(graph, target)
                 after = gr.hom_count(padded, target, max_vertices=13)
                 if before > after:
@@ -353,13 +372,13 @@ def check_hom_suite() -> CheckResult:
 
         # the power inequality on every loop-free regular graph up to 8, one
         # graph per class.  `left` holds the relabelings of the classes found
-        # so far that are still to come; a graph not in it starts a class,
-        # unless an earlier class's first graph is among its relabelings,
-        # which makes it a repeat.  A class's relabelings are the closure of
-        # its first graph under the n-1 adjacent transpositions, each applied
-        # to the edge bits 7 at a time through the tables of `swaps`.  Each
-        # (n, d) must give the class count of `_SHAPES`: a missing
-        # transposition splits the classes into more
+        # so far that are still to come; a graph (its edge-bit mask) not in it
+        # starts a class, unless an earlier class's first graph is among its
+        # relabelings, which makes it a repeat.  A class's relabelings are the
+        # closure of its first graph under the n-1 adjacent transpositions,
+        # each applied to the edge bits 7 at a time through the tables of
+        # `swaps`.  Each (n, d) must give the class count of `_SHAPES`: a
+        # missing transposition splits the classes into more
         labeled = 0
         classes = 0
         for n in range(2, 9):
@@ -371,13 +390,13 @@ def check_hom_suite() -> CheckResult:
             for d in range(1, 4):
                 left: set[int] = set()
                 reps: list[int] = []
-                for edges in _labeled_regular(n, d):
+                for mask in _labeled_regular(n, d):
                     labeled += 1
-                    mask = sum(bit[u][v] for u, v in edges)
                     if mask in left:
                         left.remove(mask)
                         continue
                     left |= _orbit(mask, swaps)
+                    edges = _edges(mask, pairs)
                     if any(rep in left for rep in reps):
                         return False, (f"the {d}-regular graph {edges} on "
                                        f"{n} vertices was generated twice")
@@ -386,14 +405,13 @@ def check_hom_suite() -> CheckResult:
                     classes += 1
                     graph = gr.LabeledGraph(n, edges)
                     for q in range(2, 6):
-                        h = gr.hom_count(graph, gr.threshold_target(q))
+                        h = gr.hom_count(graph, targets[q])
                         if h ** (2 * d) > gr.hom_kdd(d, q) ** n:
                             return False, (f"power inequality fails on a "
                                            f"{d}-regular graph with n={n}, "
                                            f"q={q}")
                 if left:
-                    lost = min(left)
-                    first = tuple((u, v) for u, v in pairs if lost & bit[u][v])
+                    first = _edges(min(left), pairs)
                     return False, (f"relabelings never generated for the "
                                    f"{d}-regular graphs on {n} vertices: "
                                    f"{len(left)}, among them {first}")
@@ -709,8 +727,8 @@ def run_suite(which: str, out=None, err=None) -> bool:
         result = factory()
         verdict = "PASS" if result.passed else "FAIL"
         print(f"[{verdict}] {result.name}: {result.detail}", file=out)
-        print(f"  {result.name}: {result.elapsed:.1f}s", file=err)
+        print(f"  {result.name}: {result.elapsed:.3f}s", file=err)
         total += result.elapsed
         all_ok = all_ok and result.passed
-    print(f"  suite '{which}' total: {total:.1f}s", file=err)
+    print(f"  suite '{which}' total: {total:.3f}s", file=err)
     return all_ok

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -185,6 +186,15 @@ def test_hom_from_file(capsys, tmp_path):
     assert json.loads(out) == {"vertices": 3, "q": 3, "count": 22}
 
 
+def test_hom_graph_names_a_malformed_line(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# vertices: 3\n1 2\n2 3 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "hom", "--graph", str(path), "--q", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "kunzlab: graph text line 3 is malformed: '2 3 1'\n"
+
+
 def test_hom_graph_keeps_the_vertex_guard(capsys, tmp_path):
     path = tmp_path / "big.txt"
     path.write_text(graph_to_text(LabeledGraph(13, [(1, 2)])),
@@ -289,7 +299,11 @@ def test_verify_tables_suite(capsys):
     lines = out.splitlines()
     assert len(lines) == 2
     assert all(line.startswith("[PASS]") for line in lines)
-    assert "suite 'tables' total" in err
+    # times to the millisecond, like the elapsed= line
+    assert re.fullmatch(r"  stressed-table: \d+\.\d{3}s\n"
+                        r"  fm-table: \d+\.\d{3}s\n"
+                        r"  suite 'tables' total: \d+\.\d{3}s\n"
+                        r"elapsed=\d+\.\d{3}s\n", err), err
 
 
 def test_determinism_across_threads(capsys):

@@ -65,6 +65,20 @@ def test_text_round_trip():
     assert graph_from_text("# vertices: 2\n1 2\n") == LabeledGraph(2, [(1, 2)])
 
 
+@pytest.mark.parametrize("text,number,line", [
+    ("1 2\n1 2 3\n", 2, "1 2 3"),
+    ("\n# a comment\n  4  \n", 3, "4"),
+    ("1 x\n", 1, "1 x"),
+    ("# vertices: many\n1 2\n", 1, "# vertices: many"),
+    ("1 2\n# red: 1 two\n", 2, "# red: 1 two"),
+])
+def test_text_names_a_malformed_line(text, number, line):
+    with pytest.raises(ValueError) as info:
+        graph_from_text(text)
+    assert str(info.value) == (f"graph text line {number} is malformed: "
+                               f"{line!r}")
+
+
 # ---------------------------------------------------------------------------
 # the specific graphs the bounds use
 # ---------------------------------------------------------------------------

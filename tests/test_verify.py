@@ -15,13 +15,22 @@ LABELED = {
 }
 
 
+def _pairs(n):
+    return list(itertools.combinations(range(1, n + 1), 2))
+
+
+def _decode(mask, n):
+    """The edges of an edge-bit mask: bit i is the i-th pair of 1..n."""
+    return tuple(pair for i, pair in enumerate(_pairs(n)) if mask >> i & 1)
+
+
 @pytest.mark.parametrize("d", sorted(LABELED))
 def test_labeled_regular_matches_oeis(d):
     for n in range(2, 9):
-        graphs = list(verify._labeled_regular(n, d))
-        assert len(set(graphs)) == len(graphs)
-        assert len(graphs) == LABELED[d].get(n, 0)
-        for edges in graphs:
+        masks = list(verify._labeled_regular(n, d))
+        assert len(set(masks)) == len(masks)
+        assert len(masks) == LABELED[d].get(n, 0)
+        for edges in (_decode(mask, n) for mask in masks):
             degree = [0] * (n + 1)
             for u, v in edges:
                 assert 1 <= u < v <= n
@@ -39,6 +48,32 @@ def test_hom_suite_counts_shapes_and_labeled_graphs():
 GENERATE = verify._labeled_regular
 
 
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 8)
+                                 for d in range(1, 4)] + [(8, 1)])
+def test_labeled_regular_matches_brute_force(n, d):
+    # every set of n*d/2 edges, in the order of `combinations`, kept when
+    # each vertex meets d of them
+    pairs = _pairs(n)
+    want = []
+    for picked in itertools.combinations(range(len(pairs)), n * d // 2):
+        degree = [0] * (n + 1)
+        for i in picked:
+            u, v = pairs[i]
+            degree[u] += 1
+            degree[v] += 1
+        if degree[1:] == [d] * n:
+            want.append(sum(1 << i for i in picked))
+    assert list(GENERATE(n, d)) == want
+
+
+@pytest.mark.parametrize("d", range(1, 4))
+def test_labeled_regular_edges_increase(d):
+    # the index-based mutants below rely on this order
+    for n in range(2, 9):
+        edges = [_decode(mask, n) for mask in GENERATE(n, d)]
+        assert all(a < b for a, b in zip(edges, edges[1:]))
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_orbit_matches_every_permutation(n):
     # the orbit of each class's first graph, against the masks of all n!
@@ -50,11 +85,11 @@ def test_orbit_matches_every_permutation(n):
     for d in range(1, 4):
         labeled = set()
         seen = set()
-        for edges in GENERATE(n, d):
-            mask = sum(bit[u][v] for u, v in edges)
+        for mask in GENERATE(n, d):
             labeled.add(mask)
             if mask in seen:
                 continue
+            edges = _decode(mask, n)
             relabeled = {sum(bit[p[u - 1]][p[v - 1]] for u, v in edges)
                          for p in itertools.permutations(range(1, n + 1))}
             assert verify._orbit(mask, swaps) == relabeled, (n, d, edges)
@@ -102,15 +137,15 @@ def test_hom_suite_fails_when_a_graph_is_dropped(monkeypatch, index):
     dropped = list(GENERATE(8, 3))[index]
 
     def mutant(n, d):
-        for edges in GENERATE(n, d):
-            if (n, d, edges) != (8, 3, dropped):
-                yield edges
+        for mask in GENERATE(n, d):
+            if (n, d, mask) != (8, 3, dropped):
+                yield mask
 
     monkeypatch.setattr(verify, "_labeled_regular", mutant)
     result = verify.check_hom_suite()
     assert not result.passed
     assert (f"relabelings never generated for the 3-regular graphs on 8 "
-            f"vertices: 1, among them {dropped}") in result.detail
+            f"vertices: 1, among them {_decode(dropped, 8)}") in result.detail
 
 
 # a class's first graph, a later one, and K4, whose only relabeling is itself
@@ -119,13 +154,13 @@ def test_hom_suite_fails_when_a_graph_is_repeated(monkeypatch, n, d, index):
     repeated = list(GENERATE(n, d))[index]
 
     def mutant(n_, d_):
-        for edges in GENERATE(n_, d_):
-            yield edges
-            if (n_, d_, edges) == (n, d, repeated):
-                yield edges
+        for mask in GENERATE(n_, d_):
+            yield mask
+            if (n_, d_, mask) == (n, d, repeated):
+                yield mask
 
     monkeypatch.setattr(verify, "_labeled_regular", mutant)
     result = verify.check_hom_suite()
     assert not result.passed
-    assert (f"the {d}-regular graph {repeated} on {n} vertices was generated "
-            f"twice") in result.detail
+    assert (f"the {d}-regular graph {_decode(repeated, n)} on {n} vertices "
+            f"was generated twice") in result.detail
