@@ -62,9 +62,11 @@ def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
                         help="worker processes, at most the cores available "
                              "(default: all), for the walked scans of length "
                              "4 or more of a count (MED, --contains, a length "
-                             "with --depth-max), one task each on one pool; "
-                             "an unfiltered Frobenius query has a closed form "
-                             "and runs serially, and so does every dist")
+                             "with a --depth-max at or above it), one task "
+                             "each on one pool; an unfiltered Frobenius "
+                             "query, or a length with --depth or a "
+                             "--depth-max below it, has closed forms and "
+                             "runs serially, and so does every dist")
 
 
 @functools.cache

@@ -308,11 +308,11 @@ def test_verify_tables_suite(capsys):
 
 def test_determinism_across_threads(capsys):
     # with more than one core, count --f 24 --med is walked on a pool, and
-    # the one box of --ell 7 --depth-max 3 is split across its workers
+    # the one box of --ell 5 --depth-max 6 is split across its workers
     for argv in (("count", "--f", "20"), ("count", "--f", "24"),
                  ("count", "--f", "24", "--med"),
                  ("count", "--ell", "7", "--depth", "3"),
-                 ("count", "--ell", "7", "--depth-max", "3"),
+                 ("count", "--ell", "5", "--depth-max", "6"),
                  ("dist", "genus", "--f", "20")):
         outputs = set()
         for threads in ("1", "4", "16"):
@@ -370,11 +370,16 @@ def test_workers_reports_processes_started(capsys):
                        "--threads", "2")
     assert code == 0
     assert err.rstrip().endswith(" workers=1")
-    # a depth bound is one box, walked on the pool
-    code, _, err = run(capsys, "count", "--ell", "7", "--depth-max", "3",
+    # a depth bound at the length or above is one box, walked on the pool
+    code, _, err = run(capsys, "count", "--ell", "5", "--depth-max", "6",
                        "--threads", "2")
     assert code == 0
     assert err.rstrip().endswith(" workers=2")
+    # and one below the length is a union of closed cells
+    code, _, err = run(capsys, "count", "--ell", "7", "--depth-max", "3",
+                       "--threads", "2")
+    assert code == 0
+    assert err.rstrip().endswith(" workers=1")
 
 
 class TestExitCodes:

@@ -111,13 +111,14 @@ def _assert_blocks(blocks, streams, size, pulled):
 
 
 # depth-exact length queries with length <= 8 and q <= 4, each plain, MED,
-# stressed and with a `contains` that lowers a cap, and one depth-bound box
+# stressed and with a `contains` that lowers a cap, a depth bound below the
+# length (its closed cells) and one at the length or above (one walked box)
 MERGED_QUERIES = [CountQuery(frobenius=f) for f in range(31)] + [
     CountQuery(length=length, depth_exact=q, **extra)
     for length in range(1, 9) for q in range(1, 5)
     for extra in ({}, dict(med=True), dict(stressed=True),
                   dict(contains=(length + 3,)))
-] + [CountQuery(length=6, depth_max=3)]
+] + [CountQuery(length=6, depth_max=3), CountQuery(length=4, depth_max=5)]
 
 
 def test_word_blocks_match_sorted_cells(monkeypatch):
@@ -190,8 +191,9 @@ def test_genus_histogram_matches_counter():
 def test_signed_histogram_matches_brute():
     # no Frobenius number: an exact depth q is the union of the cells
     # j = 1..length, closed unless a filter changes them, and a depth bound
-    # is one box; every variant against the definition over {1..q}^length,
-    # whose product order is the engine's word order
+    # is its closed cells below the length and one box otherwise; every
+    # variant against the definition over {1..q}^length, whose product
+    # order is the engine's word order
     for length in range(1, 7):
         for q in range(1, 5):
             words = list(map(KunzWord,
@@ -215,6 +217,34 @@ def test_signed_histogram_matches_brute():
                 assert count_words(query, threads=2) == len(want)
 
 
+def test_depth_bound_cells_match_walked_box():
+    # an unfiltered depth bound q below the length l is planned as its
+    # closed cells for every depth up to q; the raw box, walked, shares no
+    # code with their closed forms
+    def box(length, q):
+        return length, (q,) * length, (1,) * length, 0
+
+    pairs = [(length, q) for q in range(1, 6) for length in range(q + 1, 10)]
+    for length, q in pairs + [(7, 6), (8, 6)]:
+        query = CountQuery(length=length, depth_max=q)
+        assert all(enumeration._closed_profile(scan) is not None
+                   for scan in enumeration._plans(query))
+        walked = enumeration._fold((box(length, q),))
+        assert genus_histogram(query) == {g: n for g, n in enumerate(walked)
+                                          if n}
+        if q <= 4 and length <= 8:
+            assert list(enumerate_words(query)) == \
+                list(enumeration._words(box(length, q)))
+    # a bound at the length or above, MED or a contains keeps the one box
+    for query in (CountQuery(length=4, depth_max=4),
+                  CountQuery(length=4, depth_max=300),
+                  CountQuery(length=7, depth_max=3, med=True),
+                  CountQuery(length=7, depth_max=3, contains=(9,))):
+        (scan,) = enumeration._plans(query)
+        assert scan[3] == int(query.med)
+        assert scan[2] == (1,) * query.length
+
+
 def test_count_and_genus_consistency():
     q = CountQuery(frobenius=13)
     count, gsum = count_and_genus(q)
@@ -228,7 +258,7 @@ def test_threaded_counts_agree(threads):
     # f = 24 is answered in closed form; its MED scans are walked on a pool
     for q in (CountQuery(frobenius=16), CountQuery(frobenius=24),
               CountQuery(frobenius=24, med=True),
-              CountQuery(length=7, depth_max=3),
+              CountQuery(length=5, depth_max=6),
               CountQuery(length=7, depth_exact=3),
               CountQuery(length=4, depth_max=40)):
         assert count_words(q, threads=threads) == count_words(q) == \
@@ -288,9 +318,10 @@ def test_one_pool_per_call(monkeypatch):
 def test_one_pool_task_per_worker(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     pools = _recording_pool(monkeypatch)
-    # a depth bound is one walked box; MED and contains keep several cells
-    # on the walker: one deal of all their pinned scans, one task per worker
-    for query in (CountQuery(length=7, depth_max=3),
+    # a depth bound at the length or above is one walked box; MED and
+    # contains keep several cells on the walker: one deal of all their
+    # pinned scans, one task per worker
+    for query in (CountQuery(length=5, depth_max=6),
                   CountQuery(frobenius=24, med=True),
                   CountQuery(frobenius=30, contains=(17,))):
         pinned = [part for scan in _walked(query)
@@ -340,7 +371,7 @@ def test_pinned_scans_partition_each_walked_scan():
     # the box, the MED cells of f = 24 and the contains cells of f = 22
     # that hold 6: the pinned scans fold to the whole scan's histogram,
     # and their words, in order, are its words
-    scans = (_walked(CountQuery(length=7, depth_max=3))
+    scans = (_walked(CountQuery(length=5, depth_max=6))
              + _walked(CountQuery(frobenius=24, med=True))
              + _walked(CountQuery(frobenius=22, contains=(6,))))
     assert len(scans) > 3
