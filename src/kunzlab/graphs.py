@@ -3,12 +3,13 @@
 Counting words whose pairwise entry sums clear a threshold is, position set by
 position set, a graph homomorphism count into a *threshold graph*: vertices
 are the permitted entry values, and two values are adjacent when their sum
-reaches the threshold.  This module provides those targets, an exact
-homomorphism counter that sweeps the pattern's vertices forward keeping only
-the images of the vertices later ones still depend on, the closed form for
-complete-bipartite patterns, and a procedure that pads a bounded-degree graph
-into a d-regular supergraph without decreasing its homomorphism count into any
-of the threshold targets.
+reaches the threshold.  This module provides those targets; an exact
+homomorphism counter that sweeps the pattern's vertices forward over the
+target's twin classes (its vertices with one neighbor set, each weighted by
+its size), keeping only the classes of the vertices later ones still depend
+on; the closed form for complete-bipartite patterns; and a procedure that pads
+a bounded-degree graph into a d-regular supergraph without decreasing its
+homomorphism count into any of the threshold targets.
 """
 
 from __future__ import annotations
@@ -186,30 +187,52 @@ def hom_count(pattern: LabeledGraph, target: LabeledGraph,
               max_vertices: int = 12) -> int:
     """Number of maps V(pattern) -> V(target) preserving adjacency.
 
-    A forward sweep over the pattern's vertices in breadth-first order (the
-    dynamic program of Diaz, Serna and Thilikos, "Counting H-colorings of
-    partial k-trees", 2002).  After each vertex it keeps one count per tuple
-    of images of the live vertices, those already placed that a later vertex
-    is adjacent to; a vertex no later one looks at is counted in bulk, not
-    branched on.  The number of live tuples can still grow as the target's
-    vertex count to the power of the number of live vertices, so the guard
-    rejects patterns with more than ``max_vertices`` vertices.
+    The target is first split into twin classes: vertices with the same
+    neighbor set.  That set holds x exactly when x has a loop, so twins agree
+    on loops too.  Whether two vertices are adjacent depends only on their
+    classes, so a map preserves adjacency exactly when its map to classes
+    does, and each map phi into the graph of the classes lifts to the product
+    over v of the weights |class(phi(v))| maps into the target.  For q >= 2 a
+    threshold target on 1..q has one class of size 2, {q-1, q}, and
+    singletons.
+
+    The count is a forward sweep over the pattern's vertices in breadth-first
+    order (the dynamic program of Diaz, Serna and Thilikos, "Counting
+    H-colorings of partial k-trees", 2002).  After each vertex it keeps one
+    count per tuple of classes of the live vertices, those already placed
+    that a later vertex is adjacent to; a placed vertex multiplies its count
+    by its class's weight.  A vertex no later one looks at is counted in
+    bulk, not branched on: its images are the members of its candidate
+    classes, one per class plus weight - 1 for each class with weight above
+    1, and no table over sets of classes is built.  The number of live
+    tuples can still grow as the class count to the power of the number of
+    live vertices, so the guard rejects patterns with more than
+    ``max_vertices`` vertices.
     """
     n = pattern.vertex_count
     _guard(n, max_vertices)
     if n == 0:
         return 1
-    tn = target.vertex_count
-    full = (1 << tn) - 1
-    adj_mask = [0] * (tn + 1)
-    loop_ok = 0
-    for x in range(1, tn + 1):
+    # twin classes by neighbor set; class c is bit c of a candidate mask,
+    # and adj_mask and weight hold it at c + 1, the bit's length
+    twins: dict[frozenset, list[int]] = {}
+    for x in range(1, target.vertex_count + 1):
+        twins.setdefault(target.neighbors(x), []).append(x)
+    index = {key: c for c, key in enumerate(twins)}
+    full = (1 << len(twins)) - 1
+    adj_mask = [0]
+    weight = [0]
+    loop_ok = heavy = 0
+    for c, (key, members) in enumerate(twins.items()):
         mask = 0
-        for y in target.neighbors(x):
-            mask |= 1 << (y - 1)
-        adj_mask[x] = mask
-        if target.has_edge(x, x):
-            loop_ok |= 1 << (x - 1)
+        for y in key:
+            mask |= 1 << index[target.neighbors(y)]
+        adj_mask.append(mask)
+        weight.append(len(members))
+        if members[0] in key:
+            loop_ok |= 1 << c
+        if len(members) > 1:
+            heavy |= 1 << c
 
     # breadth-first order so every vertex after the first in its component
     # has an already-assigned neighbor to prune against
@@ -256,12 +279,19 @@ def hom_count(pattern: LabeledGraph, target: LabeledGraph,
                 continue
             kept = tuple([key[p] for p in keep])
             if not grows:
-                nxt[kept] = nxt.get(kept, 0) + count * cand.bit_count()
+                images = cand.bit_count()
+                extra = cand & heavy
+                while extra:
+                    low = extra & -extra
+                    images += weight[low.bit_length()] - 1
+                    extra ^= low
+                nxt[kept] = nxt.get(kept, 0) + count * images
                 continue
             while cand:
                 low = cand & -cand
-                grown = kept + (low.bit_length(),)
-                nxt[grown] = nxt.get(grown, 0) + count
+                c = low.bit_length()
+                grown = kept + (c,)
+                nxt[grown] = nxt.get(grown, 0) + count * weight[c]
                 cand ^= low
         counts = nxt
         live = [live[p] for p in keep] + ([k] if grows else [])

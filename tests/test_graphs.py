@@ -194,11 +194,17 @@ def _random_looped_target() -> LabeledGraph:
     return LabeledGraph(4, edges)
 
 
+# the twin classes of each target (vertices with one neighbor set) are
+# noted where they are not all singletons
 HOM_TARGETS = {
     **{f"threshold{q}": threshold_target(q) for q in range(1, 6)},
     "triangle": LabeledGraph(3, [(1, 2), (2, 3), (1, 3)]),
-    "four_cycle": LabeledGraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+    "four_cycle": LabeledGraph(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),  # 13 24
     "random_looped": _random_looped_target(),
+    "looped_triple": threshold_graph([1, 3, 3, 3, 2], 4),  # 1 234 5
+    "bipartite_2_3": complete_bipartite(2, 3),  # 12 345, loop-free
+    # 1 and 2 share their other neighbor but not 1's loop: not twins
+    "loop_apart": LabeledGraph(3, [(1, 1), (1, 3), (2, 3)]),
 }
 
 
@@ -224,17 +230,32 @@ def test_random_looped_target_is_not_threshold():
     assert 0 < len(loops) < 4
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_hom_count_twelve_cycle_is_trace_of_power(q):
-    # hom(C_12, T_q) = trace(A^12), A the adjacency of T_q: i ~ j iff i+j >= q
+def cycle_trace(length: int, q: int) -> int:
+    """hom(C_length, T_q) = trace(A^length), A the adjacency of T_q.
+
+    Built from the rule i ~ j iff i + j >= q, not from the graph.
+    """
     a = [[int(i + j >= q) for j in range(1, q + 1)] for i in range(1, q + 1)]
     power = [[int(i == j) for j in range(q)] for i in range(q)]
-    for _ in range(12):
+    for _ in range(length):
         power = [[sum(power[i][k] * a[k][j] for k in range(q))
                   for j in range(q)] for i in range(q)]
-    cycle = LabeledGraph(12, [(v, v % 12 + 1) for v in range(1, 13)])
-    trace = sum(power[i][i] for i in range(q))
-    assert hom_count(cycle, threshold_target(q)) == trace
+    return sum(power[i][i] for i in range(q))
+
+
+def cycle(length: int) -> LabeledGraph:
+    return LabeledGraph(length, [(v, v % length + 1)
+                                 for v in range(1, length + 1)])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_hom_count_twelve_cycle_is_trace_of_power(q):
+    assert hom_count(cycle(12), threshold_target(q)) == cycle_trace(12, q)
+
+
+def test_hom_count_four_cycle_into_a_large_target():
+    # 59 twin classes: nothing indexed by sets of classes could be built
+    assert hom_count(cycle(4), threshold_target(60)) == cycle_trace(4, 60)
 
 
 def test_hom_ignores_edge_multiplicity():
