@@ -45,11 +45,16 @@ class CqValue:
         return sqrt(self.squared)
 
 
+def _squared(q: int) -> int:
+    """floor((q+2)^2/4), the exact square of c_q, unchecked."""
+    return (q + 2) ** 2 // 4
+
+
 def cq(q: int) -> CqValue:
     """The growth constant for depth q: sqrt(floor((q+2)^2/4))."""
     if q < 1:
         raise ValueError("q must be at least 1")
-    return CqValue(q, (q + 2) ** 2 // 4)
+    return CqValue(q, _squared(q))
 
 
 # ---------------------------------------------------------------------------
@@ -68,17 +73,19 @@ def _exact_greater(left, right) -> bool:
     return lv > rv
 
 
-def _log_dominates(s_small: int, s_big: int, k: Fraction) -> bool:
-    """A sufficient test for ln(s_small) > k * ln(s_big / s_small); k > 0.
+def _log_dominates(s_small: int, s_big: int, num: int, den: int) -> bool:
+    """A sufficient test for ln(s_small) > k * ln(s_big / s_small), k = num/den.
 
+    The exponent comes as two positive integers, not necessarily in lowest
+    terms, so a caller stepping through q builds no rational per step.
     True only if (bitlen(s_small) - 1) * 693/1000 > k * (s_big - s_small) /
     s_small, in integers.  The left side is below ln(s_small), since
     s_small >= 2^(bitlen - 1) and ln 2 > 693/1000, and the right side is at
     least k * ln(s_big / s_small), since ln(1 + x) <= x.  False decides
     nothing.
     """
-    return ((s_small.bit_length() - 1) * 693 * s_small * k.denominator
-            > 1000 * k.numerator * (s_big - s_small))
+    return ((s_small.bit_length() - 1) * 693 * s_small * den
+            > 1000 * num * (s_big - s_small))
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +156,11 @@ def check_c_monotone(q_max: int = 10_000, r_grid=(0, Fraction(1, 2), 1),
     violation = None
     for r in r_values:
         a, b = r.numerator, r.denominator
-        s_hi = cq(2).squared
+        s_hi = _squared(2)
         for q in range(2, q_max):
-            s_lo, s_hi = s_hi, cq(q + 1).squared
+            s_lo, s_hi = s_hi, _squared(q + 1)
             seq += 1
-            if _log_dominates(s_lo, s_hi, q + r):
+            if _log_dominates(s_lo, s_hi, b * q + a, b):
                 continue
             if not _exact_greater([(s_lo, b * (q + 1) + a)],
                                   [(s_hi, b * q + a)]):
@@ -174,10 +181,10 @@ def check_c_monotone(q_max: int = 10_000, r_grid=(0, Fraction(1, 2), 1),
         distinct = len(set(u_values)) == len(u_values)
         for r in r_values:
             a, b = r.numerator, r.denominator
+            s_q = _squared(2)
             for q in range(3, interpolation_q_max + 1):
-                s_q = cq(q).squared
-                s_p = cq(q - 1).squared
-                if distinct and _log_dominates(s_p, s_q, q - r):
+                s_p, s_q = s_q, _squared(q)
+                if distinct and _log_dominates(s_p, s_q, b * q - a, b):
                     interp += pairs
                     continue
                 exps = [q * denom * b + u * b - a * denom for u in u_values]

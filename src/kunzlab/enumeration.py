@@ -987,13 +987,15 @@ def tail_heavy_count(spec: TailHeavySpec) -> int:
     its c entries equal to q-1 to q.
 
     The walk sets head positions 0..h-1 in turn (h = length - tail_width)
-    and carries two bit masks.  ``fail`` has bit i+j set when the entries at
-    i <= j add up to less than q, and ``low[c]`` has bit i set when the entry
-    at i is below c.  Setting position k to v adds the sums k+i over the
-    earlier i in ``low[q-v]``, and 2k when 2v < q.  Tail position s (1-based)
-    takes the head pairs summing to s-2, so a full head has
-    d = tail_width - popcount(fail & window), the window being bits
-    h-1..length-2.
+    and carries two integers.  ``fail`` has bit i+j set when the entries at
+    i <= j add up to less than q.  ``low`` is q fields of h bits each, field
+    c (bits c*h .. c*h+h-1) having bit i set when the entry at i is below c.
+    Setting position k to v ORs bit k into fields v+1..q-1 and adds to
+    ``fail`` the sums k+i over the earlier i in field q-v, and 2k when
+    2v < q.  Tail position s (1-based) takes the head pairs summing to s-2,
+    so a full head has d = tail_width - popcount(fail & window), the window
+    being bits h-1..length-2.  Heads are tallied by d as the last position
+    is set, without pushing the full head.
     """
     q = spec.depth
     t = spec.tail_width
@@ -1006,20 +1008,27 @@ def tail_heavy_count(spec: TailHeavySpec) -> int:
         hist[t] = 1
     else:
         window = ((1 << t) - 1) << (h - 1)
-        stack = [(0, 0, (0,) * q, 1)]
+        field = (1 << h) - 1
+        # per value v: where field q-v starts, whether v+v < q, the lowest
+        # bit of each field v+1..q-1, and how many heads v stands for
+        steps = [((q - v) * h, 2 * v < q,
+                  sum(1 << c * h for c in range(v + 1, q)),
+                  2 if v == q - 1 else 1) for v in range(1, q)]
+        last = h - 1
+        stack = [(0, 0, 0, 1)]
         while stack:
             k, fail, low, weight = stack.pop()
-            for v in range(1, q):
-                below = low[q - v] | (1 << k if 2 * v < q else 0)
+            bit = 1 << k
+            for start, self_pair, marks, heads in steps:
+                below = low >> start & field
+                if self_pair:
+                    below |= bit
                 failed = fail | below << k
-                grown = weight * 2 if v == q - 1 else weight
-                if k == h - 1:
-                    hist[t - (failed & window).bit_count()] += grown
+                if k == last:
+                    hist[t - (failed & window).bit_count()] += weight * heads
                 else:
-                    stack.append((k + 1, failed,
-                                  low[:v + 1] + tuple(c | 1 << k
-                                                      for c in low[v + 1:]),
-                                  grown))
+                    stack.append((k + 1, failed, low | marks << k,
+                                  weight * heads))
     total = 0
     for d, heads in enumerate(hist):
         if not heads:

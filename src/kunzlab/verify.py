@@ -171,23 +171,22 @@ def check_med_identities() -> CheckResult:
     def body():
         fr = {k: eng.count_words(CountQuery(frobenius=k))
               for k in range(1, 13)}
-        med2 = {}
+        med, med2 = {}, {}
         for f in range(1, 26):
-            eng.med_count(f)  # raises if the multiplicity route disagrees
+            # raises if the multiplicity route disagrees
+            med[f] = eng.med_count(f)
             med2[f] = eng.med_count(f, depth=2)
             want = sum(fr[k] for k in range(1, (f - 1) // 2 + 1))
             if med2[f] != want:
                 return False, f"depth-2 sum identity differs at f={f}"
         for n in range(1, 13):
-            left = med2.get(2 * n - 1, eng.med_count(2 * n - 1, depth=2))
-            right = med2.get(2 * n, eng.med_count(2 * n, depth=2))
-            if left != right:
+            if med2[2 * n - 1] != med2[2 * n]:
                 return False, f"parity pair differs at n={n}"
         for f in range(1, 21):
             q_top = (f + 2) // 2 + 1
-            parts = sum(eng.med_count(f, depth=q)
-                        for q in range(1, q_top + 1))
-            if parts != eng.med_count(f):
+            parts = med2[f] + sum(eng.med_count(f, depth=q)
+                                  for q in range(1, q_top + 1) if q != 2)
+            if parts != med[f]:
                 return False, f"depth partition differs at f={f}"
         return True, ("multiplicity route, depth-2 sum, parity pairs, and "
                       "depth partition all agree (f <= 25)")

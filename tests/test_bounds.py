@@ -52,7 +52,7 @@ def test_log_shortcut_is_sound_on_the_sequence():
         a, b = r.numerator, r.denominator
         for q in range(2, 2001):
             s_lo, s_hi = cq(q).squared, cq(q + 1).squared
-            if _log_dominates(s_lo, s_hi, q + r):
+            if _log_dominates(s_lo, s_hi, b * q + a, b):
                 decided += 1
                 assert _exact_greater([(s_lo, b * (q + 1) + a)],
                                       [(s_hi, b * q + a)]), (q, r)
@@ -79,12 +79,34 @@ def test_log_shortcut_is_sound_on_the_interpolation():
             Fraction(1))
     decided = 0
     for r in SHORTCUT_R_GRID:
+        a, b = r.numerator, r.denominator
         for q in range(3, 201):
-            if _log_dominates(cq(q - 1).squared, cq(q).squared, q - r):
+            if _log_dominates(cq(q - 1).squared, cq(q).squared, b * q - a, b):
                 decided += 1
                 for t1, t2 in zip(grid, grid[1:]):
                     assert _interpolation_holds(q, r, t1, t2), (q, r, t1)
     assert decided == 4 * 198 - 5  # all but q = 3 at r = 0 and q = 4
+
+
+def _fraction_log_test(s_small: int, s_big: int, k: Fraction) -> bool:
+    """The log test with its exponent as one rational, restated here."""
+    return ((s_small.bit_length() - 1) * 693 * s_small * k.denominator
+            > 1000 * k.numerator * (s_big - s_small))
+
+
+def test_integer_log_test_matches_the_rational_one():
+    # the unreduced numerator and denominator decide exactly as k = q +- r
+    # in lowest terms, in the sequence form and the interpolation form
+    for r in SHORTCUT_R_GRID:
+        a, b = r.numerator, r.denominator
+        for q in range(2, 2001):
+            s_lo, s_hi = cq(q).squared, cq(q + 1).squared
+            assert _log_dominates(s_lo, s_hi, b * q + a, b) \
+                == _fraction_log_test(s_lo, s_hi, q + r), (q, r)
+        for q in range(3, 2001):
+            s_p, s_q = cq(q - 1).squared, cq(q).squared
+            assert _log_dominates(s_p, s_q, b * q - a, b) \
+                == _fraction_log_test(s_p, s_q, q - r), (q, r)
 
 
 def test_repeated_t_is_still_a_violation():

@@ -1,6 +1,8 @@
-"""The hom suite's census of labeled regular graphs and its orbit check."""
+"""The hom suite's census of labeled regular graphs and its orbit check,
+and the MED identities' use of their counts."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -164,3 +166,19 @@ def test_hom_suite_fails_when_a_graph_is_repeated(monkeypatch, n, d, index):
     assert not result.passed
     assert (f"the {d}-regular graph {_decode(repeated, n)} on {n} vertices "
             f"was generated twice") in result.detail
+
+
+def test_med_identities_ask_for_each_count_once(monkeypatch):
+    # every MED count the three identities share is computed once and reused
+    med_count = verify.eng.med_count
+    asked = Counter()
+
+    def counting(frobenius, depth=None):
+        asked[frobenius, depth] += 1
+        return med_count(frobenius, depth)
+
+    monkeypatch.setattr(verify.eng, "med_count", counting)
+    result = verify.check_med_identities()
+    assert result.passed, result.detail
+    assert asked and max(asked.values()) == 1, \
+        [key for key, n in asked.items() if n > 1]
