@@ -65,7 +65,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, chain, islice, product, repeat
 from math import comb, isqrt
-from multiprocessing import Pool
 from operator import add, ge
 
 from .words import CountQuery, KunzWord
@@ -389,6 +388,18 @@ def _pinned(scan: Scan) -> list[Scan]:
     return [(length, (a, b) + caps[2:], (a, b) + floors[2:], strict)
             for a in range(floors[0], caps[0] + 1)
             for b in range(floors[1], caps[1] + 1)]
+
+
+def Pool(processes: int):
+    """A ``multiprocessing`` pool of ``processes`` workers.
+
+    ``multiprocessing`` is imported here, on the first pool, not at module
+    load: it pulls in pickle, socket, selectors and signal, and most calls
+    never open a pool.
+    """
+    import multiprocessing
+
+    return multiprocessing.Pool(processes)
 
 
 def _count(query: CountQuery, threads: int) -> tuple[int, int]:

@@ -11,9 +11,9 @@ hold up".
 The brute-force oracles used here (product-loop homomorphism counting, and
 the hom suite's orbit census, which sorts every labeled regular graph on up
 to 8 vertices into classes by the relabelings of the classes found so far,
-each class's relabelings being the closure of its first graph under the
-adjacent transpositions) are deliberately independent of the fast paths
-they validate.
+each class's relabelings being the closure of its first graph under (1 2)
+and the n-cycle) are deliberately independent of the fast paths they
+validate.
 """
 
 from __future__ import annotations
@@ -200,13 +200,18 @@ def check_med_identities() -> CheckResult:
 
 
 def _hom_oracle(pattern: gr.LabeledGraph, target: gr.LabeledGraph) -> int:
-    """Count homomorphisms by brute force over every vertex assignment."""
-    edges = pattern.edges()
+    """Count homomorphisms by brute force over every vertex assignment.
+
+    Each assignment is tested edge by edge against the set of value pairs
+    that ``target.has_edge`` allows, built once.
+    """
+    values = range(1, target.vertex_count + 1)
+    allowed = {(x, y) for x in values for y in values
+               if target.has_edge(x, y)}
+    edges = [(u - 1, v - 1) for u, v in pattern.edges()]
     total = 0
-    for image in itertools.product(range(1, target.vertex_count + 1),
-                                   repeat=pattern.vertex_count):
-        if all(target.has_edge(image[u - 1], image[v - 1])
-               for u, v in edges):
+    for image in itertools.product(values, repeat=pattern.vertex_count):
+        if all((image[u], image[v]) in allowed for u, v in edges):
             total += 1
     return total
 
@@ -254,18 +259,17 @@ def _edges(mask: int, pairs: list[tuple[int, int]]) -> tuple:
     return tuple(pair for i, pair in enumerate(pairs) if mask >> i & 1)
 
 
-def _swap_tables(n: int,
-                 bit: list[list[int]]) -> list[list[tuple[int, list[int]]]]:
-    """Chunk tables of the adjacent transpositions (1 2), ..., (n-1 n).
+def _generator_tables(
+        n: int, bit: list[list[int]]) -> list[list[tuple[int, list[int]]]]:
+    """Chunk tables of (1 2) and the n-cycle (1 2 ... n), which generate S_n.
 
-    Entry ``[a]`` lists, for each run of 7 edge bits starting at ``shift``,
-    the pair ``(shift, table)`` where ``table[x]`` is the image under
-    (a+1 a+2) of the edge bits ``x << shift``.
+    Entry ``[0]`` is (1 2), entry ``[1]`` the n-cycle, which takes each
+    vertex v to v + 1 and n to 1.  Each lists, for each run of 7 edge bits
+    starting at ``shift``, the pair ``(shift, table)`` where ``table[x]`` is
+    the image under that permutation of the edge bits ``x << shift``.
     """
-    swaps = []
-    for a in range(1, n):
-        label = list(range(n + 1))
-        label[a], label[a + 1] = a + 1, a
+    tables = []
+    for label in ([0, 2, 1, *range(3, n + 1)], [0, *range(2, n + 1), 1]):
         image = {bit[u][v]: bit[label[u]][label[v]]
                  for u in range(1, n + 1) for v in range(u + 1, n + 1)}
         chunks = []
@@ -274,21 +278,21 @@ def _swap_tables(n: int,
             for b in range(shift, min(shift + 7, len(image))):
                 table += [x | image[1 << b] for x in table]
             chunks.append((shift, table))
-        swaps.append(chunks)
-    return swaps
+        tables.append(chunks)
+    return tables
 
 
-def _orbit(mask: int, swaps: list[list[tuple[int, list[int]]]]) -> set[int]:
+def _orbit(mask: int, gens: list[list[tuple[int, list[int]]]]) -> set[int]:
     """The edge-bit masks of every relabeling of a graph, given its mask.
 
-    The closure of the mask under the adjacent transpositions of
-    :func:`_swap_tables`, which generate the symmetric group, so each
+    The closure of the mask under the permutations of
+    :func:`_generator_tables`, which generate the symmetric group, so each
     relabeling is added once.
     """
     orbit = {mask}
     todo = [mask]
     for m in todo:
-        for chunks in swaps:
+        for chunks in gens:
             image = 0
             for shift, table in chunks:
                 image |= table[m >> shift & 127]
@@ -304,6 +308,17 @@ def _orbit(mask: int, swaps: list[list[tuple[int, list[int]]]]) -> set[int]:
 _SHAPES = {1: {2: 1, 4: 1, 6: 1, 8: 1},
            2: {3: 1, 4: 1, 5: 1, 6: 2, 7: 2, 8: 3},
            3: {4: 1, 6: 2, 8: 6}}
+
+
+def _over_vertex_bound(n0: int, d: int, deficit: int, vertices: int) -> bool:
+    """Whether ``regularize`` used more vertices than its bound allows.
+
+    The bound is n0 + 1 + max(3 + deficit/d, 2*ceil(d/2)) for a graph on n0
+    vertices of degree at most d >= 1; multiplied through by d, the test
+    stays in integers.
+    """
+    return d * (vertices - n0 - 1) > max(3 * d + deficit,
+                                         2 * d * ((d + 1) // 2))
 
 
 def _random_bounded_graph(rng: random.Random) -> tuple[gr.LabeledGraph, int]:
@@ -355,9 +370,7 @@ def check_hom_suite() -> CheckResult:
                 return False, f"output not {d}-regular for {graph!r}"
             n0 = graph.vertex_count
             deficit = d * (n0 + n0 % 2) - 2 * len(graph.edges())
-            cap = n0 + 1 + max(Fraction(3) + Fraction(deficit, d),
-                               Fraction(2 * ((d + 1) // 2)))
-            if padded.vertex_count > cap:
+            if _over_vertex_bound(n0, d, deficit, padded.vertex_count):
                 return False, f"vertex bound fails for {graph!r} with d={d}"
             qs = (2, 3, 4) if padded.vertex_count <= 9 else (2, 3)
             for q in qs:
@@ -374,10 +387,10 @@ def check_hom_suite() -> CheckResult:
         # so far that are still to come; a graph (its edge-bit mask) not in it
         # starts a class, unless an earlier class's first graph is among its
         # relabelings, which makes it a repeat.  A class's relabelings are the
-        # closure of its first graph under the n-1 adjacent transpositions,
-        # each applied to the edge bits 7 at a time through the tables of
-        # `swaps`.  Each (n, d) must give the class count of `_SHAPES`: a
-        # missing transposition splits the classes into more
+        # closure of its first graph under (1 2) and the n-cycle, each applied
+        # to the edge bits 7 at a time through the tables of `gens`.  Each
+        # (n, d) must give the class count of `_SHAPES`: a missing generator
+        # splits the classes into more
         labeled = 0
         classes = 0
         for n in range(2, 9):
@@ -385,7 +398,7 @@ def check_hom_suite() -> CheckResult:
             bit = [[0] * (n + 1) for _ in range(n + 1)]
             for i, (u, v) in enumerate(pairs):
                 bit[u][v] = bit[v][u] = 1 << i
-            swaps = _swap_tables(n, bit)
+            gens = _generator_tables(n, bit)
             for d in range(1, 4):
                 left: set[int] = set()
                 reps: list[int] = []
@@ -394,7 +407,7 @@ def check_hom_suite() -> CheckResult:
                     if mask in left:
                         left.remove(mask)
                         continue
-                    left |= _orbit(mask, swaps)
+                    left |= _orbit(mask, gens)
                     edges = _edges(mask, pairs)
                     if any(rep in left for rep in reps):
                         return False, (f"the {d}-regular graph {edges} on "

@@ -1,6 +1,10 @@
 """The package namespace: each public name is declared once, in its
 module's ``__all__``, and the package re-exports exactly those names."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import kunzlab
@@ -54,3 +58,15 @@ def test_query_echo_keeps_field_order():
         "frobenius", "length", "depth_exact", "stressed", "med", "contains"]
     assert list(cli._query_echo(bound)) == [
         "frobenius", "length", "depth_max", "med", "contains"]
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # a fresh interpreter, since a pytest plugin may have loaded the module
+    # here; multiprocessing is imported only when a pool opens
+    src = str(Path(kunzlab.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import kunzlab, kunzlab.cli, kunzlab.verify; "
+            "print('multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"

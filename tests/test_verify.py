@@ -1,12 +1,15 @@
-"""The hom suite's census of labeled regular graphs and its orbit check,
-and the MED identities' use of their counts."""
+"""The hom suite's census of labeled regular graphs, its orbit check, its
+brute-force oracle and its vertex bound, and the MED identities' use of
+their counts."""
 
 import itertools
+import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from kunzlab import verify
+from kunzlab import graphs, verify
 
 # labeled d-regular graphs on n vertices: A001147 (d = 1), A001205 (d = 2),
 # A002829 (d = 3)
@@ -83,7 +86,7 @@ def test_orbit_matches_every_permutation(n):
     bit = [[0] * (n + 1) for _ in range(n + 1)]
     for i, (u, v) in enumerate(itertools.combinations(range(1, n + 1), 2)):
         bit[u][v] = bit[v][u] = 1 << i
-    swaps = verify._swap_tables(n, bit)
+    gens = verify._generator_tables(n, bit)
     for d in range(1, 4):
         labeled = set()
         seen = set()
@@ -94,29 +97,82 @@ def test_orbit_matches_every_permutation(n):
             edges = _decode(mask, n)
             relabeled = {sum(bit[p[u - 1]][p[v - 1]] for u, v in edges)
                          for p in itertools.permutations(range(1, n + 1))}
-            assert verify._orbit(mask, swaps) == relabeled, (n, d, edges)
+            assert verify._orbit(mask, gens) == relabeled, (n, d, edges)
             seen |= relabeled
         assert seen == labeled
 
 
-@pytest.mark.parametrize("dropped", [0, 3, -1])
-def test_hom_suite_needs_every_transposition(monkeypatch, dropped):
-    # without (1 2), (4 5) or (n-1 n) the rest generate a smaller group,
-    # whose orbits split the classes: the check itself must see that the
-    # class count of some (n, d) is off, not only this test's total
-    tables = verify._swap_tables
+@pytest.mark.parametrize("dropped", [0, 1])
+def test_hom_suite_needs_both_generators(monkeypatch, dropped):
+    # (1 2) alone, or the n-cycle alone, generates a smaller group than
+    # S_n, whose orbits split the classes: the check itself must see that
+    # the class count of some (n, d) is off, not only this test's total
+    tables = verify._generator_tables
 
     def mutant(n, bit):
-        swaps = tables(n, bit)
-        if dropped < len(swaps):
-            del swaps[dropped]
-        return swaps
+        gens = tables(n, bit)
+        del gens[dropped]
+        return gens
 
-    monkeypatch.setattr(verify, "_swap_tables", mutant)
+    monkeypatch.setattr(verify, "_generator_tables", mutant)
     result = verify.check_hom_suite()
     assert not result.passed
     assert "-regular graphs on " in result.detail
     assert "vertices fall into" in result.detail
+
+
+def _has_edge_oracle(pattern, target):
+    """Homomorphisms by brute force, one ``has_edge`` call per pattern edge
+    per assignment."""
+    total = 0
+    for image in itertools.product(range(1, target.vertex_count + 1),
+                                   repeat=pattern.vertex_count):
+        if all(target.has_edge(image[u - 1], image[v - 1])
+               for u, v in pattern.edges()):
+            total += 1
+    return total
+
+
+def _random_pattern(rng):
+    """A graph on 1..6 vertices whose edges may repeat and include loops."""
+    n = rng.randint(1, 6)
+    edges = [(rng.randint(1, n), rng.randint(1, n))
+             for _ in range(rng.randint(0, 2 * n))]
+    return graphs.LabeledGraph(n, edges)
+
+
+@pytest.mark.parametrize("q", range(1, 5))
+def test_hom_oracle_matches_has_edge_brute_force(q):
+    # vertex 1 of threshold_target(q) has no loop for q >= 2, so a looped
+    # pattern vertex may not land there
+    target = graphs.threshold_target(q)
+    rng = random.Random(2500 + q)
+    patterns = [graphs.LabeledGraph(2, [(1, 1), (1, 2)]),
+                graphs.LabeledGraph(3, [(1, 2), (2, 3), (3, 3), (1, 2)])]
+    patterns += [_random_pattern(rng) for _ in range(30)]
+    for pattern in patterns:
+        assert verify._hom_oracle(pattern, target) == \
+            _has_edge_oracle(pattern, target), pattern.edges()
+
+
+def test_vertex_bound_matches_the_rational_form():
+    # the regularization bound n0 + 1 + max(3 + deficit/d, 2*ceil(d/2)),
+    # in Fractions, against the integer test, over every deficit of a
+    # graph on n0 vertices of degree at most d and padded sizes on both
+    # sides of the bound
+    decided = Counter()
+    for n0 in range(1, 9):
+        for d in range(1, 5):
+            for deficit in range(d * (n0 + n0 % 2) + 1):
+                cap = n0 + 1 + max(Fraction(3) + Fraction(deficit, d),
+                                   Fraction(2 * ((d + 1) // 2)))
+                for vertices in range(n0, int(cap) + 3):
+                    over = vertices > cap
+                    assert verify._over_vertex_bound(
+                        n0, d, deficit, vertices) == over, \
+                        (n0, d, deficit, vertices)
+                    decided[over] += 1
+    assert decided[True] and decided[False]
 
 
 def _partitions(n: int, least: int) -> int:
