@@ -192,31 +192,54 @@ def _cmd_count(args, out) -> tuple[int, int]:
     return 0, workers
 
 
+# the bytes 0..9: a block of bytes keys holding no other byte is printed
+# from one translation of its bytes into ASCII digits
+_SMALL = bytes(range(10))
+_DIGITS = bytes.maketrans(_SMALL, b"0123456789")
+
+
+def _block_text(block, sep: str, cut: str) -> str:
+    """A non-empty block's words, with ``sep`` between the entries of a word
+    and ``cut`` between words.
+
+    A block of bytes keys whose entries are all at most 9 is joined with
+    the byte 0 between words, translated to digits (0 to "0"), split into
+    characters by ``sep`` and cut at each "0"; no word holds a 0.  Any
+    other block goes through ``json.dumps``.
+    """
+    if isinstance(block[0], bytes):
+        raw = b"\0".join(block)
+        # no entry above 9: deleting the bytes 0..9 leaves nothing, a C
+        # loop where max(raw) would make an int of every byte
+        if not raw.translate(None, _SMALL):
+            text = sep.join(raw.translate(_DIGITS).decode("ascii"))
+            return text.replace(f"{sep}0{sep}", cut)
+    # "[[1, 2], [2, 1]]" -> "1, 2], [2, 1" -> "1,2\n2,1" for CSV
+    text = json.dumps(list(map(list, block)))[2:-2]
+    return text.replace("], [", cut).replace(", ", sep)
+
+
 def _cmd_enumerate(args, out) -> int:
     """Stream the words one merged block at a time, with the bytes of one
-    ``json.dumps`` of the whole payload (or of one CSV row per word, cut
-    from the same encoding of each block).
+    ``json.dumps`` of the whole payload (or of one CSV row per word).
 
-    The blocks are plain tuples from
-    :func:`kunzlab.enumeration._word_blocks`, whose buffers hold one
-    4096-word batch in all.
+    The blocks come from :func:`kunzlab.enumeration._word_blocks`, whose
+    buffers hold one 4096-word batch in all, and are encoded whole by
+    :func:`_block_text`.
     """
     query = _build_query(args)
     blocks = eng._word_blocks(query)
     # the first block is taken before any output, so an error leaves none
-    blocks = chain([next(blocks, [])], blocks)
+    blocks = filter(None, chain([next(blocks, [])], blocks))
     if args.format == "csv":
-        # "[[1, 2], [2, 1]]" -> "1,2\n2,1\n"
         for block in blocks:
-            if block:
-                rows = json.dumps(block)[2:-2].replace("], [", "\n")
-                out.write(rows.replace(", ", ",") + "\n")
+            out.write(_block_text(block, ",", "\n") + "\n")
         return 0
     # the payload with no words, up to the open bracket of its word list
     out.write(json.dumps({"query": _query_echo(query), "words": []})[:-2])
     sep = ""
     for block in blocks:
-        out.write(sep + json.dumps(block)[1:-1])
+        out.write(f"{sep}[{_block_text(block, ', ', '], [')}]")
         sep = ", "
     out.write("]}\n")
     return 0

@@ -39,10 +39,13 @@ array.  Enumeration mirrors that split (:func:`_cell_words`): a closed cell
 of depth at most 3 yields its words from the product its closed form
 describes (a free {1,2} head at q = 2; the stressed depth-3 words of length
 j, walked, times free {1,2} tails at q = 3), and every other scan expands
-the walker's ranges into words.  The cell streams are merged a block at a
-time (:func:`_merge_blocks`), not a word at a time: the least last word of
-their buffers bounds a block, one C sort merges the pieces below it, and
-the buffers of all the streams together hold one 4096-word batch.  Only
+the walker's ranges into words.  Each word is a key of one byte per entry,
+which compares by memcmp in the order of its tuple; a query with a cap of
+256 or more packs every key as a tuple instead.  The cell streams are
+merged a block at a time (:func:`_merge_blocks`), not a word at a time: the
+least last key of their buffers bounds a block, one C sort merges the
+pieces below it, and the buffers of all the streams together hold one
+4096-word batch.  Only
 :func:`count_words` runs in parallel:
 every walked scan of length 4 or more is cut into pinned scans, one for each
 pair of values at positions 1 and 2 (:func:`_pinned`), the pinned scans of
@@ -255,43 +258,63 @@ def _walk(scan: Scan):
         p += 1
 
 
-def _words(scan: Scan):
-    """Yield a scan's words, walked, in ascending lexicographic order."""
-    length = scan[0]
+def _words(scan: Scan, pack=tuple):
+    """Yield a scan's words, walked, in ascending lexicographic order, each
+    packed by ``pack``: ``tuple``, or ``bytes`` when every cap is below 256.
+
+    A leaf packs its prefix once and adds one packed last entry per value.
+    """
+    length, caps = scan[0], scan[1]
+    ends = [pack((v,)) for v in range(caps[-1] + 1)]
     for w, _, lb, ub in _walk(scan):
-        base = tuple(w[1:length])
+        base = pack(w[1:length])
         for v in range(lb, ub + 1):
-            yield base + (v,)
+            yield base + ends[v]
 
 
-def _cell_words(scan: Scan):
-    """Yield a whole scan's words in ascending lexicographic order.
+def _cell_words(scan: Scan, pack=tuple):
+    """Yield a whole scan's words in ascending lexicographic order, each
+    packed by ``pack`` as in :func:`_words`.
 
     This is to :func:`_words` what :func:`_solve` is to :func:`_fold`: a
     closed cell of depth q <= 3 is read from the product structure of its
     closed form (see :func:`_closed_form`), and any other scan is walked.
 
     * q = 1: the word of ones when j = length, else nothing;
-    * q = 2: a free {1,2} head of length j-1, the 2 at j, then ones;
-    * q = 3: a stressed depth-3 head of length j, each followed by every
-      free {1,2} tail, lazily; when j = length the heads are the words.
+    * q = 2: a free {1,2} head of length j-1, then the 2 at j and ones;
+    * q = 3: a stressed depth-3 head of length j, walked, each followed by
+      every free {1,2} tail (:func:`_free_words`).
+
+    Packed as ``bytes``, the words compare as the tuples do (memcmp, a
+    shorter prefix first), so merging and sorting them keeps tuple order.
     """
     profile = _closed_profile(scan)
     if profile is None or profile[0] >= 4:
-        return _words(scan)
+        return _words(scan, pack)
     length = scan[0]
     q, j = profile
     if q == 1:
-        return iter([(1,) * length] if j == length else [])
+        return iter([pack((1,) * length)] if j == length else [])
     if q == 2:
-        tail = (2,) + (1,) * (length - j)
-        return map(add, product((1, 2), repeat=j - 1), repeat(tail))
-    heads = _words(_frobenius_scan(j, 3, j))
-    if j == length:
-        return heads
+        return _free_words([pack(())], j - 1,
+                           pack((2,) + (1,) * (length - j)), pack)
+    heads = _words(_frobenius_scan(j, 3, j), pack)
+    return _free_words(heads, length - j, pack(()), pack)
+
+
+def _free_words(prefixes, n: int, suffix, pack):
+    """Each of the packed ``prefixes`` followed by every {1,2}-word of
+    length n and by ``suffix``, in lexicographic order, lazily.
+
+    The last min(n, 6) free positions, with the suffix, come from one list
+    of at most 64 keys built on the call, so that each word costs one
+    concatenation, not a packing of its own.
+    """
+    k = min(n, 6)
+    lows = [pack(low) + suffix for low in product((1, 2), repeat=k)]
     return chain.from_iterable(
-        map(add, repeat(head), product((1, 2), repeat=length - j))
-        for head in heads)
+        map(add, repeat(prefix + pack(high)), lows)
+        for prefix in prefixes for high in product((1, 2), repeat=n - k))
 
 
 def _fold(scans: tuple[Scan, ...]) -> list[int]:
@@ -495,25 +518,33 @@ def enumerate_words(query: CountQuery):
     """
     words = chain.from_iterable(_word_blocks(query))
     # every entry lies in 1..q by construction, so the words skip KunzWord's
-    # entry check
+    # entry check; a key is read the same way whether bytes or a tuple
     return map(partial(tuple.__new__, KunzWord), words)
 
 
 def _word_blocks(query: CountQuery):
-    """The query's words as plain tuples in sorted, non-empty blocks, which
+    """The query's words as keys in sorted, non-empty blocks, which
     concatenate in ascending tuple order.
 
-    Each plan's words stream from :func:`_cell_words`, and
-    :func:`_merge_blocks` merges the streams, reading ``_BATCH // plans``
-    words of each at a time, so that all of them together hold at most one
-    batch.  The plans are built on the call, so a bad query raises here.
+    A key is ``bytes``, one byte per entry, unless some plan caps an entry
+    at 256 or more; then every key of the query is a tuple, so that the
+    merge never compares the two.  Each plan's words stream from
+    :func:`_cell_words`, and :func:`_merge_blocks` merges the streams,
+    reading ``_BATCH // plans`` words of each at a time, so that all of
+    them together hold at most one batch.  The plans are built on the call,
+    so a bad query raises here.
     """
-    streams = [_cell_words(scan) for scan in _plans(query)]
+    plans = _plans(query)
+    pack = tuple if any(max(scan[1]) >= 256 for scan in plans) else bytes
+    streams = [_cell_words(scan, pack) for scan in plans]
     return _merge_blocks(streams, max(_BATCH // (len(streams) or 1), 1))
 
 
 def _merge_blocks(streams, size: int):
     """Merge sorted streams of words into sorted, non-empty blocks.
+
+    The words may be tuples or ``bytes`` keys, but not both: the two
+    compare the same way, and this only compares and slices them.
 
     Each stream is read ``size`` words at a time into its buffer.  The least
     last word among the buffers bounds a block: every buffer is cut after

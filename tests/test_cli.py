@@ -71,7 +71,10 @@ ENUMERATE_ARGVS = (
        ("--ell", "5", "--depth-max", "3", "--med"),
        ("--f", "14", "--contains", "-3"),  # no words
        ("--ell", "0", "--depth-max", "2"),  # no words: CSV prints nothing
-       ("--f", "27",)]  # 16,132 words, several write batches
+       ("--f", "27",),  # 16,132 words, several write batches
+       # entries of 10 and more: tuples from a cap of 256 on, bytes below
+       ("--ell", "1", "--depth-max", "300"), ("--f", "601", "--m", "2"),
+       ("--f", "511", "--m", "2"), ("--f", "509", "--m", "2")]
 )
 
 
@@ -104,6 +107,22 @@ def test_enumerate_streams_the_whole_payload(capsys, argv):
     assert code == 0
     _assert_same_text(out, "".join(",".join(str(v) for v in word) + "\n"
                                    for word in words))
+
+
+def test_block_text_on_hand_made_blocks():
+    # the digit translation of bytes keys up to 9, and json.dumps for
+    # entries of 10 and more or tuple keys, against json.dumps of each block
+    words = [(1,), (1, 9), (9, 9, 1), (10,), (2, 10, 3), (255, 1)]
+    small = [w for w in words if max(w) <= 9]
+    for block in (small, small[:1], words[3:4], words, [(256,), (1, 300)]):
+        containers = [block]
+        if max(map(max, block)) < 256:
+            containers.append(list(map(bytes, block)))
+        for keys in containers:
+            assert cli._block_text(keys, ", ", "], [") == \
+                json.dumps(block)[2:-2]
+            assert cli._block_text(keys, ",", "\n") == \
+                "\n".join(",".join(map(str, word)) for word in block)
 
 
 def test_table_stressed3(capsys):

@@ -75,13 +75,16 @@ def test_enumeration_matches_oracle(f):
 
 def test_cell_words_match_walker():
     # the product structure of the closed depth <= 3 cells against the
-    # walker, word for word and in order, the empty q = 1 cells included
+    # walker's tuples, word for word and in order, the empty q = 1 cells
+    # included; bytes keys are read back with tuple()
     for length in range(1, 15):
         for q in (1, 2, 3):
             for j in range(1, length + 1):
                 scan = enumeration._frobenius_scan(length, q, j)
                 want = list(enumeration._words(scan))
                 assert list(enumeration._cell_words(scan)) == want
+                keys = enumeration._cell_words(scan, bytes)
+                assert list(map(tuple, keys)) == want
                 assert q > 1 or len(want) == (j == length)
 
 
@@ -104,7 +107,7 @@ def _assert_blocks(blocks, streams, size, pulled):
     for block in blocks:
         assert block and block == sorted(block)
         assert pulled[0] - len(got) <= size * len(streams)
-        got += block
+        got += map(tuple, block)  # bytes keys read back as tuples
         count += 1
     assert got == want
     assert count <= sum(-(-len(stream) // size) for stream in streams)
@@ -118,23 +121,41 @@ MERGED_QUERIES = [CountQuery(frobenius=f) for f in range(31)] + [
     for length in range(1, 9) for q in range(1, 5)
     for extra in ({}, dict(med=True), dict(stressed=True),
                   dict(contains=(length + 3,)))
-] + [CountQuery(length=6, depth_max=3), CountQuery(length=4, depth_max=5)]
+] + [CountQuery(length=6, depth_max=3), CountQuery(length=4, depth_max=5)] + [
+    # the words (255) and (256) on either side of the bytes keys' limit, and
+    # 1..300 as tuples
+    CountQuery(frobenius=509, length=1), CountQuery(frobenius=511, length=1),
+    CountQuery(length=1, depth_max=300)]
 
 
 def test_word_blocks_match_sorted_cells(monkeypatch):
-    # the oracle sorts every cell's words at once and shares no code with
-    # the block merge; the merge reads 4096 // plans words of each cell at
-    # a time, one batch in all
+    # the oracle sorts every cell's words, as tuples, at once and shares no
+    # code with the block merge; the merge reads 4096 // plans words of each
+    # cell at a time, one batch in all
     cell_words = enumeration._cell_words
     pulled = [0]
     monkeypatch.setattr(enumeration, "_cell_words",
-                        lambda scan: _counting(cell_words(scan), pulled))
+                        lambda scan, pack: _counting(cell_words(scan, pack),
+                                                     pulled))
     for query in MERGED_QUERIES:
         cells = [list(cell_words(scan)) for scan in enumeration._plans(query)]
         size = max(4096 // max(len(cells), 1), 1)
         pulled[0] = 0
         _assert_blocks(enumeration._word_blocks(query), cells, size, pulled)
         assert list(enumerate_words(query)) == sorted(chain(*cells))
+
+
+def test_word_keys_are_bytes_below_256():
+    # one container for the whole query: bytes while every plan caps its
+    # entries below 256, so the byte 255 is still an entry, else tuples
+    for query, kind in ((CountQuery(frobenius=509, length=1), bytes),
+                        (CountQuery(frobenius=511, length=1), tuple),
+                        (CountQuery(length=1, depth_max=255), bytes),
+                        (CountQuery(length=1, depth_max=256), tuple),
+                        (CountQuery(frobenius=30), bytes)):
+        keys = list(chain.from_iterable(enumeration._word_blocks(query)))
+        assert keys and {type(key) for key in keys} == {kind}
+        assert list(map(tuple, keys)) == list(enumerate_words(query))
 
 
 def test_merge_blocks_on_hand_made_streams():
