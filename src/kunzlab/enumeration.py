@@ -262,14 +262,17 @@ def _words(scan: Scan, pack=tuple):
     """Yield a scan's words, walked, in ascending lexicographic order, each
     packed by ``pack``: ``tuple``, or ``bytes`` when every cap is below 256.
 
-    A leaf packs its prefix once and adds one packed last entry per value.
+    A leaf packs its prefix once and adds one packed last entry per value:
+    a one-byte key from a table of the cap + 1 values, which stops at 256
+    (``bytes((256,))`` raises), or a one-tuple made on the way, so that no
+    cap, however large, is expanded ahead of the words it bounds.
     """
-    length, caps = scan[0], scan[1]
-    ends = [pack((v,)) for v in range(caps[-1] + 1)]
+    length, cap = scan[0], scan[1][-1]
+    ends = [bytes((v,)) for v in range(cap + 1)] if pack is bytes else None
     for w, _, lb, ub in _walk(scan):
         base = pack(w[1:length])
-        for v in range(lb, ub + 1):
-            yield base + ends[v]
+        for end in zip(range(lb, ub + 1)) if ends is None else ends[lb:ub + 1]:
+            yield base + end
 
 
 def _cell_words(scan: Scan, pack=tuple):
@@ -283,7 +286,8 @@ def _cell_words(scan: Scan, pack=tuple):
     * q = 1: the word of ones when j = length, else nothing;
     * q = 2: a free {1,2} head of length j-1, then the 2 at j and ones;
     * q = 3: a stressed depth-3 head of length j, walked, each followed by
-      every free {1,2} tail (:func:`_free_words`).
+      every free {1,2} tail (:func:`_free_words`); when j = length the
+      heads are the words.
 
     Packed as ``bytes``, the words compare as the tuples do (memcmp, a
     shorter prefix first), so merging and sorting them keeps tuple order.
@@ -299,6 +303,8 @@ def _cell_words(scan: Scan, pack=tuple):
         return _free_words([pack(())], j - 1,
                            pack((2,) + (1,) * (length - j)), pack)
     heads = _words(_frobenius_scan(j, 3, j), pack)
+    if j == length:
+        return heads
     return _free_words(heads, length - j, pack(()), pack)
 
 
@@ -308,13 +314,18 @@ def _free_words(prefixes, n: int, suffix, pack):
 
     The last min(n, 6) free positions, with the suffix, come from one list
     of at most 64 keys built on the call, so that each word costs one
-    concatenation, not a packing of its own.
+    concatenation, not a packing of its own; any higher free positions are
+    added to the prefixes first.  Packing each free word whole and adding
+    the suffix and the prefix to it drained the words of ``--f 27..30``
+    about a third slower; 3 or 9 low positions were no faster.
     """
     k = min(n, 6)
     lows = [pack(low) + suffix for low in product((1, 2), repeat=k)]
-    return chain.from_iterable(
-        map(add, repeat(prefix + pack(high)), lows)
-        for prefix in prefixes for high in product((1, 2), repeat=n - k))
+    if n > k:
+        prefixes = (prefix + pack(high) for prefix in prefixes
+                    for high in product((1, 2), repeat=n - k))
+    return chain.from_iterable(map(add, repeat(prefix), lows)
+                               for prefix in prefixes)
 
 
 def _fold(scans: tuple[Scan, ...]) -> list[int]:

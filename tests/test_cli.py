@@ -74,7 +74,9 @@ ENUMERATE_ARGVS = (
        ("--f", "27",),  # 16,132 words, several write batches
        # entries of 10 and more: tuples from a cap of 256 on, bytes below
        ("--ell", "1", "--depth-max", "300"), ("--f", "601", "--m", "2"),
-       ("--f", "511", "--m", "2"), ("--f", "509", "--m", "2")]
+       ("--f", "511", "--m", "2"), ("--f", "509", "--m", "2"),
+       # a huge cap that --contains lowers: two words, printed at once
+       ("--ell", "2", "--depth-max", "1000000000", "--contains", "4")]
 )
 
 

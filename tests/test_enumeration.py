@@ -9,7 +9,7 @@ import contextlib
 import os
 from collections import Counter
 from dataclasses import replace
-from itertools import chain, product
+from itertools import chain, islice, product
 from types import SimpleNamespace
 
 import pytest
@@ -156,6 +156,16 @@ def test_word_keys_are_bytes_below_256():
         keys = list(chain.from_iterable(enumeration._word_blocks(query)))
         assert keys and {type(key) for key in keys} == {kind}
         assert list(map(tuple, keys)) == list(enumerate_words(query))
+
+
+def test_huge_depth_cap_is_not_expanded_ahead_of_the_words():
+    # contains=(4,) lowers the first cap to 1, so the second entry is at
+    # most 2 and the query has two words, however large depth_max is
+    query = CountQuery(length=2, depth_max=10**9, contains=(4,))
+    assert list(enumerate_words(query)) == [(1, 1), (1, 2)]
+    # one walked box whose last range runs to 10**9, read lazily
+    query = CountQuery(length=1, depth_max=10**9)
+    assert list(islice(enumerate_words(query), 3)) == [(1,), (2,), (3,)]
 
 
 def test_merge_blocks_on_hand_made_streams():
