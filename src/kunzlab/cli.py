@@ -3,7 +3,7 @@ brackets, distributions, homomorphism counts, bounds, figure data, and the
 self-verification suite.
 
 All result payloads go to stdout and are byte-identical for identical flags
-(worker count included); timing metadata goes to stderr.  Exit codes: 0 on
+(--threads included); timing metadata goes to stderr.  Exit codes: 0 on
 success, 1 when a verification fails, 2 on usage errors, 141 (128 + SIGPIPE)
 when stdout's reader closes the pipe early.
 """
@@ -15,7 +15,6 @@ import contextlib
 import dataclasses
 import functools
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -59,14 +58,9 @@ def positive_int(text: str) -> int:
 
 def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=positive_int, default=None,
-                        help="worker processes, at most the cores available "
-                             "(default: all), for the walked scans of length "
-                             "4 or more of a count (MED, --contains, a length "
-                             "with a --depth-max at or above it), one task "
-                             "each on one pool; an unfiltered Frobenius "
-                             "query, or a length with --depth or a "
-                             "--depth-max below it, has closed forms and "
-                             "runs serially, and so does every dist")
+                        help="accepted and checked to be positive, for "
+                             "compatibility; every count and dist runs in "
+                             "one process")
 
 
 @functools.cache
@@ -180,16 +174,15 @@ def _emit_json(payload: dict, out) -> None:
     print(json.dumps(payload), file=out)
 
 
-def _cmd_count(args, out) -> tuple[int, int]:
-    """Print the count; return the exit code and the workers started."""
+def _cmd_count(args, out) -> int:
     query = _build_query(args)
-    count, workers = eng._count(query, args.threads or os.cpu_count() or 1)
+    count = eng.count_words(query)
     if args.format == "csv":
         print("count", file=out)
         print(count, file=out)
     else:
         _emit_json({"query": _query_echo(query), "count": count}, out)
-    return 0, workers
+    return 0
 
 
 # the bytes 0..9: a block of bytes keys holding no other byte is printed
@@ -408,10 +401,9 @@ def main(argv=None) -> int:
     out, err = sys.stdout, sys.stderr
     ref_dir = args.ref_data
     start = time.perf_counter()
-    workers = None  # worker processes started, printed for count and dist
     try:
         if args.command == "count":
-            code, workers = _cmd_count(args, out)
+            code = _cmd_count(args, out)
         elif args.command == "enumerate":
             code = _cmd_enumerate(args, out)
         elif args.command == "table":
@@ -419,7 +411,7 @@ def main(argv=None) -> int:
         elif args.command == "constants":
             code = _cmd_constants(args, out, ref_dir)
         elif args.command == "dist":
-            code, workers = _cmd_dist(args, out), 1
+            code = _cmd_dist(args, out)
         elif args.command == "hom":
             code = _cmd_hom(args, out)
         elif args.command == "bounds":
@@ -448,8 +440,7 @@ def main(argv=None) -> int:
         print(f"kunzlab: verification failure: {exc}", file=err)
         return 1
     elapsed = time.perf_counter() - start
-    suffix = "" if workers is None else f" workers={workers}"
-    print(f"elapsed={elapsed:.3f}s{suffix}", file=err)
+    print(f"elapsed={elapsed:.3f}s", file=err)
     return code
 
 

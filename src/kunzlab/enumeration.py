@@ -5,52 +5,55 @@ The generic entry points (:func:`count_words`, :func:`count_and_genus`,
 :class:`~kunzlab.words.CountQuery` and expand it into disjoint scans whose
 union is the query's word set.  Almost every scan is a cell: the words of one
 length l whose maximum q occurs last at position j, which is the Frobenius
-number (q-1)(l+1) + j.  A query that pins the Frobenius number holds at most
-one cell per length, a length query with an exact depth q is the union of
-its l cells, and an unfiltered length query with a depth bound q below the
-length l is the union of its cells for every depth up to q.  Any other
-length query with a depth bound (l <= q, MED or ``contains``) is one walked
-box scan instead (see :func:`_plans` for why).
+number (q-1)(l+1) + j, with the caps that ``contains`` lowers.  A query that
+pins the Frobenius number holds at most one cell per length, a length query
+with an exact depth q is the union of its l cells, and a length query with a
+depth bound q below the length l is the union of its cells for every depth
+up to q.  A length query with a depth bound at the length or above, and any
+MED length query with a depth bound, is one walked box scan instead (see
+:func:`_plans` for why).
 
-Every unfiltered cell has a closed genus polynomial
+Every cell without MED strictness has a closed genus polynomial
 (:func:`_closed_profile`, :func:`_closed_form`): the cell (l, q, j) has x^l
-(q = 1, j = l), x^(l+1)(1+x)^(j-1) (q = 2) and S_j(x)(x+x^2)^(l-j) (q = 3),
-where S_j is the genus polynomial of the stressed depth-3 words of length j;
-for q >= 3 the polynomial comes from a subset scan.  By the paper's lower
-bound, an entry in the upper half of the range never breaks an inequality, so
-each entry is either low or one two-valued big slot, and only low+low sums
-can fail: :func:`_subset_scan` holds that rule for every depth and answers
-every q >= 4, and :func:`_stressed3_scan` (S_j) is its tuned q = 3 case.  The
-paper's count floor((q+1)^2/4)^(f/(2q-2)) makes depth 2 and depth 3 (about
-2^(f/2) words) outgrow every deeper layer, and S_j is the paper's stressed
-table, which is why that case is tuned: it searches the positions of the 1s
-only up to about the last quarter of the word, and bins that quarter from
-one table, since those positions meet only the first quarter.
+(q = 1, j = l), x^(l+1)(1+x)^k (q = 2, k the positions before j still capped
+at 2) and S_j(x)(x+x^2)^(l-j) (q = 3, no cap lowered), where S_j is the
+genus polynomial of the stressed depth-3 words of length j; every other cell
+of depth q >= 3 has its polynomial from a subset scan.  By the paper's lower
+bound, an entry in the upper half of the range never breaks an inequality,
+and a lowered cap keeps that true, so each entry is either low or one
+two-valued big slot, and only low+low sums can fail: :func:`_subset_scan`
+holds that rule for every depth and every cap, and :func:`_stressed3_scan`
+(S_j) is its tuned q = 3 case.  The paper's count
+floor((q+1)^2/4)^(f/(2q-2)) makes depth 2 and depth 3 (about 2^(f/2) words)
+outgrow every deeper layer, and S_j is the paper's stressed table, which is
+why that case is tuned: it searches the positions of the 1s only up to about
+the last quarter of the word, and bins that quarter from one table, since
+those positions meet only the first quarter.
 
-One walker, :func:`_walk`, searches the cells that a filter changed (MED
-strictness, a cap lowered by ``contains``), the depth-bound boxes, and the
-scans that :func:`enumerate_words` expands into words without a product
-structure.  It keeps
-for each position the interval of values the defining inequalities allow
-against the prefix chosen so far, and hands each leaf to its caller as a
-whole value range of the final position.  Counts, genus sums and genus
+MED words are counted through the lift (:func:`_med_via_membership`): a MED
+semigroup of multiplicity m is {0} u (m + T), with T of Frobenius number
+f - m and containing m, so each MED count is a sum of closed ``contains``
+cell counts.  Every count runs serially, in one process.
+
+One walker, :func:`_walk`, searches the MED scans (strict inequalities) of
+:func:`genus_histogram`, :func:`count_by_length` and
+:func:`enumerate_words`, the depth-bound boxes, and the scans that
+:func:`enumerate_words` expands into words without a product structure.  It
+keeps for each position the interval of values the defining inequalities
+allow against the prefix chosen so far, and hands each leaf to its caller as
+a whole value range of the final position.  Counts, genus sums and genus
 histograms all come from one fold of those ranges into a genus difference
-array.  Enumeration mirrors that split (:func:`_cell_words`): a closed cell
-of depth at most 3 yields its words from the product its closed form
-describes (a free {1,2} head at q = 2; the stressed depth-3 words of length
-j, walked, times free {1,2} tails at q = 3), and every other scan expands
-the walker's ranges into words.  Each word is a key of one byte per entry,
-which compares by memcmp in the order of its tuple; a query with a cap of
-256 or more packs every key as a tuple instead.  The cell streams are
-merged a block at a time (:func:`_merge_blocks`), not a word at a time: the
-least last key of their buffers bounds a block, one C sort merges the
-pieces below it, and the buffers of all the streams together hold one
-4096-word batch.  Only
-:func:`count_words` runs in parallel:
-every walked scan of length 4 or more is cut into pinned scans, one for each
-pair of values at positions 1 and 2 (:func:`_pinned`), the pinned scans of
-the whole call are dealt once into one task per worker of one pool
-(:func:`_count`), and each worker folds its task as one tuple (:func:`_fold`).
+array (:func:`_fold`).  Enumeration mirrors that split (:func:`_cell_words`):
+a closed cell of depth at most 3 with no lowered cap yields its words from
+the product its closed form describes (a free {1,2} head at q = 2; the
+stressed depth-3 words of length j, walked, times free {1,2} tails at
+q = 3), and every other scan expands the walker's ranges into words.  Each
+word is a key of one byte per entry, which compares by memcmp in the order
+of its tuple; a query with a cap of 256 or more packs every key as a tuple
+instead.  The cell streams are merged a block at a time
+(:func:`_merge_blocks`), not a word at a time: the least last key of their
+buffers bounds a block, one C sort merges the pieces below it, and the
+buffers of all the streams together hold one 4096-word batch.
 :func:`_walked_histogram` folds every scan through the walker alone: it is
 the oracle the closed forms are checked against.
 
@@ -62,13 +65,12 @@ small depth and are feasible far beyond the generic search.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, chain, islice, product, repeat
 from math import comb, isqrt
-from operator import add, ge
+from operator import add, ge, le
 
 from .words import CountQuery, KunzWord
 
@@ -129,19 +131,50 @@ def _frobenius_scan(length: int, q: int, j: int) -> Scan:
     return length, caps, floors, 0
 
 
+def _require_finite(query: CountQuery) -> None:
+    if not query.is_finite:
+        raise ValueError("query must fix the Frobenius number, or a length "
+                         "together with a depth bound")
+
+
+def _cells(query: CountQuery) -> list[tuple[int, int, int]]:
+    """The cells ``(length, q, j)`` that the query's depth and stressed
+    filters keep, before ``contains`` lowers any cap (see :func:`_plans`).
+
+    A semigroup of multiplicity above n > 0 misses n, so a ``contains`` n
+    bounds the lengths of a Frobenius query by n - 1.
+    """
+    f, length = query.frobenius, query.length
+    if f is None:
+        bound = query.depth_max
+        depths = range(1, bound + 1) if bound else [query.depth_exact]
+        cells = [(length, q, j) for q in depths for j in range(1, length + 1)]
+    else:
+        top = min([f] + [n - 1 for n in query.contains if n > 0])
+        cells = []
+        for ell in [length] if length is not None else range(1, top + 1):
+            profile = _depth_profile(f, ell) if ell >= 1 and f >= 1 else None
+            if profile is not None:
+                cells.append((ell, *profile))
+    return [(ell, q, j) for ell, q, j in cells
+            if (query.depth_exact is None or q == query.depth_exact)
+            and (query.depth_max is None or q <= query.depth_max)
+            and (j == ell or not query.stressed)]
+
+
 def _plans(query: CountQuery) -> list[Scan]:
     """Expand a query into disjoint scans whose union is its word set.
 
     Each plan is a cell ``_frobenius_scan(length, q, j)`` (see
-    :func:`_depth_profile`).  A length query with a depth bound q is the
-    union of its cells for every depth up to q, but it is planned so only
-    when it is unfiltered and the length is above q; otherwise (length <= q,
-    MED or ``contains``) it is one walked box, caps at the bound and floors
-    at 1.  A closed cell and a walked cell cost about the same, but the box
-    shares each prefix among all its q*length cells and hands the last
-    position over as one value range, which beats the cells up to about
-    length q.  Box time over cells time, serial, best of 3 (one run at
-    l >= 9) on a 2-core x86-64 host:
+    :func:`_depth_profile`) from :func:`_cells`, with the caps that
+    ``contains`` lowers.  A length query with a depth bound q is the union
+    of its cells for every depth up to q, but it is planned so only when the
+    length is above q and the query is not MED; otherwise it is one walked
+    box, caps at the bound and floors at 1.  A closed cell and a walked cell
+    cost about the same, but the box shares each prefix among all its
+    q*length cells and hands the last position over as one value range,
+    which beats the cells up to about length q.  Box time over cells time,
+    serial, best of 3 (one run at l >= 9) on a 2-core x86-64 host:
 
     ======  =====  =====  =====  =====  =====
     q \\ l   q-2    q-1    q      q+1    q+2
@@ -153,52 +186,33 @@ def _plans(query: CountQuery) -> list[Scan]:
     8       0.85   1.06   1.04   1.84   2.54
     ======  =====  =====  =====  =====  =====
 
-    The depth and stressed filters drop cells;
-    ``contains`` (a lowered cap) and MED (strict inequalities) change them,
-    and a changed cell is walked.  A scan with a cap below its floor (a
-    q = 1 cell longer than f, or a cap that ``contains`` lowered) holds no
-    words and is dropped, so it is neither walked nor pooled.
+    The depth and stressed filters drop cells; ``contains`` lowers caps,
+    which a closed form still answers, and MED makes every inequality
+    strict, which only the walker answers.  A scan with a cap below its
+    floor (a q = 1 cell longer than f, or a cap that ``contains`` lowered)
+    holds no words and is dropped.
     """
-    if not query.is_finite:
-        raise ValueError("query must fix the Frobenius number, or a length "
-                         "together with a depth bound")
+    _require_finite(query)
     if any(n < 0 for n in query.contains):
         return []
-
-    def planned(scans) -> list[Scan]:
-        strict = 1 if query.med else 0
-        plans = []
-        for length, caps, floors, _ in scans:
-            m = length + 1
-            caps = list(caps)
-            for n in query.contains:
-                r = n % m
-                if r:
-                    caps[r - 1] = min(caps[r - 1], n // m)
-            if all(map(ge, caps, floors)):
-                plans.append((length, tuple(caps), floors, strict))
-        return plans
-
-    f, length = query.frobenius, query.length
-    if f is None:
-        assert length is not None
-        bound = query.depth_max
-        if bound and (length <= bound or query.med or query.contains):
-            if length < 1:
-                return []
-            return planned([(length, (bound,) * length, (1,) * length, 0)])
-        depths = range(1, bound + 1) if bound else [query.depth_exact]
-        cells = [(length, q, j) for q in depths for j in range(1, length + 1)]
+    length, bound = query.length, query.depth_max
+    if query.frobenius is None and bound and (length <= bound or query.med):
+        scans = ([(length, (bound,) * length, (1,) * length, 0)]
+                 if length >= 1 else [])
     else:
-        cells = []
-        for ell in [length] if length is not None else range(1, f + 1):
-            profile = _depth_profile(f, ell) if ell >= 1 and f >= 1 else None
-            if profile is not None:
-                cells.append((ell, *profile))
-    return planned(_frobenius_scan(ell, q, j) for ell, q, j in cells
-                   if (query.depth_exact is None or q == query.depth_exact)
-                   and (query.depth_max is None or q <= query.depth_max)
-                   and (j == ell or not query.stressed))
+        scans = [_frobenius_scan(*cell) for cell in _cells(query)]
+    strict = 1 if query.med else 0
+    plans = []
+    for length, caps, floors, _ in scans:
+        m = length + 1
+        caps = list(caps)
+        for n in query.contains:
+            r = n % m
+            if r:
+                caps[r - 1] = min(caps[r - 1], n // m)
+        if all(map(ge, caps, floors)):
+            plans.append((length, tuple(caps), floors, strict))
+    return plans
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +294,9 @@ def _cell_words(scan: Scan, pack=tuple):
     packed by ``pack`` as in :func:`_words`.
 
     This is to :func:`_words` what :func:`_solve` is to :func:`_fold`: a
-    closed cell of depth q <= 3 is read from the product structure of its
-    closed form (see :func:`_closed_form`), and any other scan is walked.
+    cell of depth q <= 3 with no cap lowered is read from the product
+    structure of its closed form (see :func:`_closed_form`), and any other
+    scan is walked.
 
     * q = 1: the word of ones when j = length, else nothing;
     * q = 2: a free {1,2} head of length j-1, then the 2 at j and ones;
@@ -292,10 +307,10 @@ def _cell_words(scan: Scan, pack=tuple):
     Packed as ``bytes``, the words compare as the tuples do (memcmp, a
     shorter prefix first), so merging and sorting them keeps tuple order.
     """
-    profile = _closed_profile(scan)
-    if profile is None or profile[0] >= 4:
+    length, profile = scan[0], _closed_profile(scan)
+    if (profile is None or profile[0] >= 4
+            or scan != _frobenius_scan(length, *profile)):
         return _words(scan, pack)
-    length = scan[0]
     q, j = profile
     if q == 1:
         return iter([pack((1,) * length)] if j == length else [])
@@ -328,27 +343,22 @@ def _free_words(prefixes, n: int, suffix, pack):
                                for prefix in prefixes)
 
 
-def _fold(scans: tuple[Scan, ...]) -> list[int]:
-    """Genus histogram, indexed by genus, of disjoint scans of any lengths.
-
-    ``(scan,)`` is one whole scan; a pool task is one worker's share of the
-    pinned scans of a whole call (:func:`_count`).
-    """
-    diff = [0] * (max(sum(scan[1]) for scan in scans) + 2)
-    for scan in scans:
-        for _, gsum, lb, ub in _walk(scan):
-            diff[gsum + lb] += 1
-            diff[gsum + ub + 1] -= 1
+def _fold(scan: Scan) -> list[int]:
+    """Genus histogram, indexed by genus, of a scan, walked."""
+    diff = [0] * (sum(scan[1]) + 2)
+    for _, gsum, lb, ub in _walk(scan):
+        diff[gsum + lb] += 1
+        diff[gsum + ub + 1] -= 1
     return list(accumulate(diff))
 
 
 def _walked_histogram(query: CountQuery) -> dict[int, int]:
-    """The query's genus histogram with every scan walked, serially.
+    """The query's genus histogram with every scan walked.
 
     No closed form enters: this is the reference that the closed genus
     polynomials of :func:`_closed_form` are tested against.
     """
-    return _sum(_fold((scan,)) for scan in _plans(query))
+    return _sum(map(_fold, _plans(query)))
 
 
 # ---------------------------------------------------------------------------
@@ -357,115 +367,64 @@ def _walked_histogram(query: CountQuery) -> dict[int, int]:
 
 
 def _closed_profile(scan: Scan) -> tuple[int, int] | None:
-    """``(q, j)`` when the scan is ``_frobenius_scan(length, q, j)``, so that
-    :func:`_closed_form` answers it; otherwise ``None``.
+    """``(q, j)`` when the scan is a cell, ``_frobenius_scan(length, q, j)``
+    with any caps lowered, so that :func:`_closed_form` answers it;
+    otherwise (MED strictness, a box) ``None``.
 
-    A filter that changes the scan (MED strictness, a cap lowered by
-    ``contains``) makes it differ, and the walker answers it instead.
+    j is the last position of the largest floor: q's position, or the
+    length when every floor is 1, as in a q = 1 cell.
     """
-    length, caps = scan[0], scan[1]
-    q = caps[0]
-    j = caps.count(q)
-    if q >= 1 and scan == _frobenius_scan(length, q, j):
+    length, caps, floors, strict = scan
+    j = length - floors[::-1].index(max(floors))
+    q = caps[j - 1]
+    _, cell_caps, cell_floors, _ = _frobenius_scan(length, q, j)
+    if (not strict and floors == cell_floors
+            and all(map(le, caps, cell_caps))):
         return q, j
     return None
 
 
-def _closed_form(length: int, q: int, j: int) -> list[int]:
-    """Genus histogram, indexed by genus, of ``_frobenius_scan(length, q, j)``.
+def _closed_form(scan: Scan) -> list[int] | None:
+    """Genus histogram, indexed by genus, of a cell (see
+    :func:`_closed_profile`), or ``None`` for any other scan.
 
-    For q <= 3 the genus polynomial is a sum of terms x^shift (1+x)^free:
+    For q <= 2, and for q = 3 with no cap lowered, the genus polynomial is a
+    sum of terms x^shift (1+x)^free:
 
-    * q = 1: the single word of ones when j = length; for j < length the
-      positions after j are capped at 0 and there are no words;
+    * q = 1: the single word of ones (j = length);
     * q = 2: every {1,2}-word with its last 2 at position j is valid, so
-      x^(2+length-j) (x+x^2)^(j-1);
+      x^(l+1) (1+x)^k, where k counts the positions before j whose cap is
+      still 2 (``contains`` pins the others to 1);
     * q = 3: the head up to position j is a stressed depth-3 word and the
       tail is free over {1,2}, so S_j(x) (x+x^2)^(length-j).
 
-    For q >= 4 the whole polynomial comes from :func:`_subset_scan`.
-    :func:`_cell_words` reads the words of the q <= 3 cells from the same
-    products.
+    Every other cell comes from :func:`_subset_scan`.
+    :func:`_cell_words` reads the words of the uncapped q <= 3 cells from
+    the same products.
     """
-    if q >= 4:
-        return list(_subset_scan(length, q, j))
+    profile = _closed_profile(scan)
+    if profile is None:
+        return None
+    length, caps, floors, _ = scan
+    q, j = profile
     if q == 1:
-        bins = {(length, 0): 1} if j == length else {}
+        bins = {(length, 0): 1}
     elif q == 2:
-        bins = {(length + 1, j - 1): 1}
-    else:
+        bins = {(length + 1, caps[:j - 1].count(2)): 1}
+    elif q == 3 and caps == _frobenius_scan(length, 3, j)[1]:
         free = length - j
         bins = {(g + free, free): c
                 for g, c in enumerate(_stressed3_scan(j)) if c}
+    else:
+        return list(_subset_scan(length, caps, floors))
     return list(_expand(bins))
 
 
 def _solve(scan: Scan) -> list[int]:
-    """Genus histogram of a whole scan: its closed form when it has one."""
-    profile = _closed_profile(scan)
-    if profile is None:
-        return _fold((scan,))
-    return _closed_form(scan[0], *profile)
-
-
-# ---------------------------------------------------------------------------
-# one parallel path
-# ---------------------------------------------------------------------------
-
-
-def _pinned(scan: Scan) -> list[Scan]:
-    """The scan cut into disjoint scans, in word order: one for each pair
-    (a, b) in its floor..cap ranges at positions 1 and 2, with the cap and
-    the floor of both positions set to a and b.  A pair that no valid word
-    starts with yields no leaf: the walker finds position 2 empty."""
-    length, caps, floors, strict = scan
-    return [(length, (a, b) + caps[2:], (a, b) + floors[2:], strict)
-            for a in range(floors[0], caps[0] + 1)
-            for b in range(floors[1], caps[1] + 1)]
-
-
-def Pool(processes: int):
-    """A ``multiprocessing`` pool of ``processes`` workers.
-
-    ``multiprocessing`` is imported here, on the first pool, not at module
-    load: it pulls in pickle, socket, selectors and signal, and most calls
-    never open a pool.
-    """
-    import multiprocessing
-
-    return multiprocessing.Pool(processes)
-
-
-def _count(query: CountQuery, threads: int) -> tuple[int, int]:
-    """The query's word count, and the worker processes it started (1 when
-    it ran serially).
-
-    ``threads`` is capped at the cores available.  With two or more left,
-    the pinned scans (:func:`_pinned`) of each walked scan of length 4 or
-    more are dealt in stride into ``cap`` tasks, each scan starting one
-    task on from the last, so that a pair heavy in every scan, like (2, 2)
-    in the depth-2 MED cells, goes round the workers (a plain stride put
-    it on one, and ``count --f 52 --med`` ran a quarter slower on two).
-    The tasks that got a scan run on one pool, one per worker; the rest,
-    and a lone pinned scan, are solved in the caller.
-    """
-    cap = min(threads, os.cpu_count() or 1)
-    count, tasks = 0, [[] for _ in range(cap)]
-    for scan in _plans(query):
-        if cap > 1 and scan[0] >= 4 and _closed_profile(scan) is None:
-            pinned = _pinned(scan)
-            for k, task in enumerate(tasks):
-                task += pinned[k::cap]
-            tasks.append(tasks.pop(0))
-        else:
-            count += sum(_solve(scan))
-    tasks = [tuple(task) for task in tasks if task]
-    workers = len(tasks)
-    if workers < 2:
-        return count + sum(map(sum, map(_fold, tasks))), 1
-    with Pool(processes=workers) as pool:
-        count += sum(map(sum, pool.map(_fold, tasks)))
-    return count, workers
+    """Genus histogram of a whole scan: its closed form when it is a cell,
+    else walked."""
+    hist = _closed_form(scan)
+    return _fold(scan) if hist is None else hist
 
 
 def _sum(hists) -> dict[int, int]:
@@ -486,8 +445,8 @@ def _sum(hists) -> dict[int, int]:
 def genus_histogram(query: CountQuery) -> dict[int, int]:
     """Exact histogram ``genus -> number of matching words``.
 
-    Unfiltered cells come from closed genus polynomials, and every other
-    scan is walked, serially.
+    Cells come from closed genus polynomials, and the MED scans and the
+    depth-bound boxes are walked.
     """
     return _sum(map(_solve, _plans(query)))
 
@@ -498,14 +457,16 @@ def count_and_genus(query: CountQuery) -> tuple[int, int]:
     return sum(hist.values()), sum(g * n for g, n in hist.items())
 
 
-def count_words(query: CountQuery, threads: int = 1) -> int:
-    """Number of Kunz words matching the query.
+def count_words(query: CountQuery) -> int:
+    """Number of Kunz words matching the query, in one process.
 
-    With ``threads > 1`` the walked scans of length 4 or more run on one
-    pool of at most ``threads`` worker processes, one task per worker (see
-    :func:`_count`); the count does not depend on it.
+    A MED query is counted through the lift (:func:`_med_via_membership`),
+    as a sum of closed ``contains`` cells.  Any other query sums its plans:
+    every cell in closed form, and a depth-bound box walked.
     """
-    return _count(query, threads)[0]
+    if query.med:
+        return _med_via_membership(query)
+    return sum(map(sum, map(_solve, _plans(query))))
 
 
 def count_by_length(query: CountQuery) -> dict[int, int]:
@@ -626,9 +587,10 @@ def _stressed3_scan(length: int) -> tuple[int, ...]:
     over the top subsets T whose partners miss H: T adds |T| to |S|, and to
     u the top positions that T u (T+H) covers and the walk had not.
 
-    This is the rule set of :func:`_subset_scan` for q = 3 and j = length,
-    tuned: the only low value is 1, and the big slot {2,3} is forced to 2
-    exactly on S+S.  Every deeper scan runs in :func:`_subset_scan` itself.
+    This is the rule set of :func:`_subset_scan` for q = 3, j = length and
+    no lowered cap, tuned: the only low value is 1, and the big slot {2,3}
+    is forced to 2 exactly on S+S.  Every other cell of depth 3 or more
+    runs in :func:`_subset_scan` itself.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
@@ -701,25 +663,36 @@ def _stressed3_scan(length: int) -> tuple[int, ...]:
     return _expand(shifted)
 
 
-def _subset_scan(length: int, q: int, j: int) -> tuple[int, ...]:
-    """Genus polynomial of ``_frobenius_scan(length, q, j)``, by genus; q >= 3.
+def _subset_scan(length: int, caps: tuple[int, ...],
+                 floors: tuple[int, ...]) -> tuple[int, ...]:
+    """Genus polynomial of a cell of depth q >= 3, by genus: the scan
+    ``(length, caps, floors, 0)`` where ``_frobenius_scan(length, q, j)``
+    has had any caps lowered, as by ``contains``.
 
-    The maximum q is pinned at position j; the caps are q before j and q-1
-    after.  Call an entry *low* if it lies in 1..q-2 before j or in 1..q-3
-    after j; the other values form one *big* slot, {q-1, q} before j and
-    {b, q-1} after j with b = max(q-2, 1).  Every inequality with a big
-    entry or the q at j among its summands holds: a big entry before j, and
-    the q at j, are at least q-1, and adding at least 1 reaches q; a big
-    entry after j is at least q-2 and its sums land after j, where the cap
-    is q-1; a wrapped sum adds 1 more.  So only low+low sums can fail, onto
-    a+b directly or onto a+b-length-1 wrapped with +1.  Let m(t) be the
-    least such sum onto position t (wrapped ones counted with their +1):
+    The maximum q is pinned at position j, the one floor above 1, and
+    q = caps[j-1]; the caps are at most q before j and at most q-1 after.
+    Call an entry *low* if it lies in 1..q-2 before j or in 1..q-3 after j;
+    the other values form one *big* slot, {q-1, q} before j and {b, q-1}
+    after j with b = max(q-2, 1).  Every inequality with a big entry or the
+    q at j among its summands holds: a big entry before j, and the q at j,
+    are at least q-1, and adding at least 1 reaches q; a big entry after j
+    is at least q-2 and its sums land after j, where the cap is q-1; a
+    wrapped sum adds 1 more.  A lowered cap only lowers the entry such a
+    sum must reach, so this holds under any caps.  So only low+low sums can
+    fail, onto a+b directly or onto a+b-length-1 wrapped with +1.  Let m(t)
+    be the least such sum onto position t (wrapped ones counted with their
+    +1):
 
     * a low entry at t may not exceed m(t);
     * a big slot at t is barred when m(t) is below its least value (q-1
       before j, b after), forced to that value when m(t) equals it, and
       free over its two values otherwise;
     * j itself needs m(j) >= q.
+
+    A cap c at t below the slot's top (q before j, q-1 after) changes the
+    choices there: at the slot's least value it forces the slot, which keeps
+    its bar and adds no free bit; below that the slot is gone and the low
+    values stop at c.
 
     This is the paper's lower-bound box read the other way: entries in the
     upper half of the range never break an inequality.  The scan fixes, one
@@ -732,8 +705,9 @@ def _subset_scan(length: int, q: int, j: int) -> tuple[int, ...]:
     counting every entry at its least value and free the big slots left
     free; leaves are binned by (shift, free).
 
-    :func:`_stressed3_scan` (q = 3, the head up to j) is the tuned special
-    case of these rules; every depth q >= 4 runs here.
+    :func:`_stressed3_scan` (q = 3, the head up to j, no cap lowered) is
+    the tuned special case of these rules; every other cell of depth q >= 3
+    runs here.
 
     Sums are kept by level in one integer: field s, ``width`` bits wide,
     holds at bit t the positions t that receive a low+low sum of exactly s;
@@ -745,13 +719,17 @@ def _subset_scan(length: int, q: int, j: int) -> tuple[int, ...]:
     ones, and j from the start, so a prefix that breaks j dies at once.
 
     The masks and shifts of each position are built once, in ``table``: for
-    p other than j, its big slot's bar mask, bit and least value, the next
-    position, and its low values as (bar mask, ``values`` bit, sums shift,
-    value).  Position j is no node: the position before it steps straight to
-    j+1, with j's q added to its stored values, and with j = 1 the scan
+    p other than j, its big slot's bar mask, free bit (0 when a cap forces
+    the slot) and least value, the next position, and its low values as
+    (bar mask, ``values`` bit, sums shift, value).  ``sums`` carries bit 0,
+    which no position uses, so the bar mask 1 bars a slot that a cap
+    dropped.  Position j is no node: the position before it steps straight
+    to j+1, with j's q added to its stored values, and with j = 1 the scan
     starts at 2 with q in its shift.  Children past the last position are
     binned at once, not pushed.
     """
+    j = floors.index(max(floors)) + 1
+    q = caps[j - 1]
     width = 2 * length + 1  # room for a direct sum of two positions
     low_bits = sum(((1 << (length + 1)) - 2) << (s * width) for s in range(q))
     wrap_bits = sum(((1 << (2 * length + 1)) - (1 << (length + 2)))
@@ -770,17 +748,20 @@ def _subset_scan(length: int, q: int, j: int) -> tuple[int, ...]:
     for p in range(1, length + 1):
         if p != j:
             least, top = (big_before, q - 2) if p < j else (big_after, q - 3)
+            cap = caps[p - 1]
             skip = q if p + 1 == j else 0
-            table[p] = (below(p, least), 1 << p, least + skip,
+            table[p] = (below(p, least) if cap >= least else 1,
+                        1 << p if cap > least else 0, least + skip,
                         p + 2 if skip else p + 1,
                         [(below(p, v), 1 << (v * width + p), p + v * width,
-                          v + skip) for v in range(1, top + 1)])
+                          v + skip) for v in range(1, min(top, cap) + 1)])
     start = 2 if j == 1 else 1
     if start > length:
         return _expand({(q, 0): 1})  # the word (q)
     bins: dict[tuple[int, int], int] = {}
-    # stack entries: (next position, values, sums, need, big slots, shift)
-    stack = [(start, 0, 0, below(j, q), 0, q if j == 1 else 0)]
+    # stack entries: (next position, values, sums, need, big slots, shift);
+    # sums starts with bit 0, which bars every slot a cap dropped
+    stack = [(start, 0, 1, below(j, q), 0, q if j == 1 else 0)]
     while stack:
         p, values, sums, need, bigs, shift = stack.pop()
         bar, bit, least, nxt, lows = table[p]
@@ -886,44 +867,51 @@ def closed_k3(frobenius: int, length: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _med_via_membership(frobenius: int, depth: int | None) -> int:
-    """Count MED words by their multiplicity, via membership-constrained counts.
+def _med_via_membership(query: CountQuery) -> int:
+    """Count the MED words of a query through the lift, by multiplicity.
 
-    A MED semigroup with Frobenius number f and multiplicity m is exactly the
-    m-fold shift of a semigroup with Frobenius number f - m that contains m;
-    the extreme case m = f + 1 is the shift of the full set of nonnegative
-    integers.
+    A MED semigroup S with multiplicity m and Frobenius number f is
+    {0} u (m + T), where T has Frobenius number f - m and contains m; the
+    extreme case f = m - 1 (the word of ones) is the lift of the full set
+    of nonnegative integers.  The cells of :func:`_cells` select the pairs
+    (f, m) that the depth, stressed and length filters allow, and S
+    contains n > 0 exactly when n >= m and T contains n - m.  So each cell
+    adds the count of one closed ``contains`` query on T.
     """
-    f = frobenius
+    _require_finite(query)
+    contains = [n for n in query.contains if n]
     total = 0
-    for m in range(2, f + 2):
-        m_depth = -((f + 1) // -m)
-        if depth is not None and m_depth != depth:
-            continue
-        if m == f + 1:
-            total += 1
+    for ell, q, j in _cells(query):
+        m = ell + 1
+        if any(n < m for n in contains):
+            continue  # S misses every n < m but 0
+        if q == 1:
+            total += j == ell
         else:
-            total += count_words(CountQuery(frobenius=f - m, contains=(m,)))
+            total += count_words(CountQuery(
+                frobenius=m * (q - 2) + j,
+                contains=(m, *[n - m for n in contains])))
     return total
 
 
 def med_count(frobenius: int, depth: int | None = None) -> int:
     """Number of MED words with the given Frobenius number (and depth, if set).
 
-    Computed two independent ways -- directly, with the strict inequality
-    filter in the generic engine, and by classifying on the multiplicity --
-    and cross-checked before returning.
+    Computed two independent ways -- through the lift
+    (:func:`count_words`, by way of :func:`_med_via_membership`), and by
+    walking the strict inequalities (:func:`genus_histogram`) -- and
+    cross-checked before returning.
     """
     if frobenius < 1:
         raise ValueError("the Frobenius number must be at least 1")
-    direct = count_words(
-        CountQuery(frobenius=frobenius, depth_exact=depth, med=True))
-    via = _med_via_membership(frobenius, depth)
-    if direct != via:
+    query = CountQuery(frobenius=frobenius, depth_exact=depth, med=True)
+    lifted = count_words(query)
+    walked = sum(genus_histogram(query).values())
+    if lifted != walked:
         raise ArithmeticError(
             f"MED count mismatch at frobenius={frobenius}, depth={depth}: "
-            f"direct={direct}, by multiplicity={via}")
-    return direct
+            f"by the lift={lifted}, walked={walked}")
+    return lifted
 
 
 # ---------------------------------------------------------------------------

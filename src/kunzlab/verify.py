@@ -676,7 +676,7 @@ def check_trend_suite() -> CheckResult:
 
 
 def check_thread_determinism() -> CheckResult:
-    """count output is byte-identical across worker counts."""
+    """count output is byte-identical across --threads values."""
 
     def body():
         from contextlib import redirect_stderr, redirect_stdout
@@ -703,7 +703,7 @@ def check_thread_determinism() -> CheckResult:
             if len(outputs) != 1:
                 return False, f"output varies with threads for {base}"
         return True, (f"{len(queries)} queries byte-identical across "
-                      "1/4/16 workers")
+                      "--threads 1/4/16")
 
     return _run("thread-determinism", body)
 

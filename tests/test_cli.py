@@ -328,8 +328,9 @@ def test_verify_tables_suite(capsys):
 
 
 def test_determinism_across_threads(capsys):
-    # with more than one core, count --f 24 --med is walked on a pool, and
-    # the one box of --ell 5 --depth-max 6 is split across its workers
+    # --threads is accepted and every count runs in one process: the MED
+    # lift of --f 24 --med and the walked box of --ell 5 --depth-max 6
+    # print the same at any --threads
     for argv in (("count", "--f", "20"), ("count", "--f", "24"),
                  ("count", "--f", "24", "--med"),
                  ("count", "--ell", "7", "--depth", "3"),
@@ -356,51 +357,20 @@ def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
-def test_workers_reports_processes_started(capsys):
-    # a length-3 scan always runs serially, whatever the request
-    code, _, err = run(capsys, "count", "--f", "9", "--ell", "3",
-                       "--threads", "4")
-    assert code == 0
-    assert err.rstrip().endswith(" workers=1")
-    # every scan of f = 12 has a closed form or is shorter than 4
-    code, _, err = run(capsys, "count", "--f", "12", "--threads", "2")
-    assert code == 0
-    assert err.rstrip().endswith(" workers=1")
-    # and so does every scan of f = 20
-    code, _, err = run(capsys, "count", "--f", "20", "--threads", "2")
-    assert code == 0
-    assert err.rstrip().endswith(" workers=1")
-    # and so does every scan of f = 24, down to depth 5 and beyond
-    code, _, err = run(capsys, "count", "--f", "24", "--threads", "2")
-    assert code == 0
-    assert err.rstrip().endswith(" workers=1")
-    # MED strictness keeps f = 24 on the walker, with scans of length 4+
-    code, _, err = run(capsys, "count", "--f", "24", "--med",
-                       "--threads", "2")
-    assert code == 0
-    assert err.rstrip().endswith(" workers=2")
-    # the MED cell of f = 6 at length 14 has caps of 0 after position 6:
-    # it holds no words, so it is not planned and starts no workers
-    code, out, err = run(capsys, "count", "--f", "6", "--m", "15", "--med",
-                         "--threads", "2")
-    assert code == 0
-    assert json.loads(out)["count"] == 0
-    assert err.rstrip().endswith(" workers=1")
-    # a length query with an exact depth is a union of closed cells
-    code, _, err = run(capsys, "count", "--ell", "7", "--depth", "3",
-                       "--threads", "2")
-    assert code == 0
-    assert err.rstrip().endswith(" workers=1")
-    # a depth bound at the length or above is one box, walked on the pool
-    code, _, err = run(capsys, "count", "--ell", "5", "--depth-max", "6",
-                       "--threads", "2")
-    assert code == 0
-    assert err.rstrip().endswith(" workers=2")
-    # and one below the length is a union of closed cells
-    code, _, err = run(capsys, "count", "--ell", "7", "--depth-max", "3",
-                       "--threads", "2")
-    assert code == 0
-    assert err.rstrip().endswith(" workers=1")
+def test_count_stderr_is_elapsed_alone(capsys):
+    # every count runs in one process, so stderr holds the time alone,
+    # whether the query is closed, lifted (MED) or a walked box, and
+    # whatever --threads says
+    for argv in (("--f", "9", "--ell", "3", "--threads", "4"),
+                 ("--f", "24", "--threads", "2"),
+                 ("--f", "24", "--med", "--threads", "2"),
+                 ("--f", "6", "--m", "15", "--med", "--threads", "2"),
+                 ("--f", "30", "--contains", "17", "--threads", "2"),
+                 ("--ell", "5", "--depth-max", "6", "--threads", "2"),
+                 ("--ell", "7", "--depth-max", "3")):
+        code, _, err = run(capsys, "count", *argv)
+        assert code == 0
+        assert re.fullmatch(r"elapsed=\d+\.\d{3}s\n", err), err
 
 
 class TestExitCodes:

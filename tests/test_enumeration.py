@@ -5,16 +5,14 @@ filters by definition; it is independent of the engine's pruning and of the
 closed forms, so agreement here pins both down.
 """
 
-import contextlib
-import os
+import json
 from collections import Counter
 from dataclasses import replace
 from itertools import chain, islice, product
-from types import SimpleNamespace
 
 import pytest
 
-from kunzlab import enumeration
+from kunzlab import cli, enumeration
 from kunzlab.enumeration import (
     TailHeavySpec,
     closed_k2,
@@ -221,10 +219,11 @@ def test_genus_histogram_matches_counter():
 
 def test_signed_histogram_matches_brute():
     # no Frobenius number: an exact depth q is the union of the cells
-    # j = 1..length, closed unless a filter changes them, and a depth bound
-    # is its closed cells below the length and one box otherwise; every
-    # variant against the definition over {1..q}^length, whose product
-    # order is the engine's word order
+    # j = 1..length, closed unless MED makes them strict, and a depth bound
+    # is its closed cells below the length and one box otherwise (or with
+    # MED); MED counts go through the lift; every variant against the
+    # definition over {1..q}^length, whose product order is the engine's
+    # word order
     for length in range(1, 7):
         for q in range(1, 5):
             words = list(map(KunzWord,
@@ -245,7 +244,7 @@ def test_signed_histogram_matches_brute():
                                                          for w in want)
                 assert count_and_genus(query) == (
                     len(want), sum(w.genus for w in want))
-                assert count_words(query, threads=2) == len(want)
+                assert count_words(query) == len(want)
 
 
 def test_depth_bound_cells_match_walked_box():
@@ -260,17 +259,29 @@ def test_depth_bound_cells_match_walked_box():
         query = CountQuery(length=length, depth_max=q)
         assert all(enumeration._closed_profile(scan) is not None
                    for scan in enumeration._plans(query))
-        walked = enumeration._fold((box(length, q),))
+        walked = enumeration._fold(box(length, q))
         assert genus_histogram(query) == {g: n for g, n in enumerate(walked)
                                           if n}
         if q <= 4 and length <= 8:
             assert list(enumerate_words(query)) == \
                 list(enumeration._words(box(length, q)))
-    # a bound at the length or above, MED or a contains keeps the one box
+    # a contains below the length lowers one cap of every cell: still
+    # cells, against the raw box with that cap lowered by hand
+    for length, q, member, caps in ((7, 3, 9, (1, 3, 3, 3, 3, 3, 3)),
+                                    (6, 2, 10, (2, 2, 1, 2, 2, 2)),
+                                    (8, 4, 20, (4, 2, 4, 4, 4, 4, 4, 4)),
+                                    (5, 4, 8, (4, 1, 4, 4, 4))):
+        query = CountQuery(length=length, depth_max=q, contains=(member,))
+        assert all(enumeration._closed_profile(scan) is not None
+                   for scan in enumeration._plans(query))
+        walked = enumeration._fold((length, caps, (1,) * length, 0))
+        assert genus_histogram(query) == {g: n for g, n in enumerate(walked)
+                                          if n}
+    # a bound at the length or above, or MED, keeps the one box
     for query in (CountQuery(length=4, depth_max=4),
                   CountQuery(length=4, depth_max=300),
-                  CountQuery(length=7, depth_max=3, med=True),
-                  CountQuery(length=7, depth_max=3, contains=(9,))):
+                  CountQuery(length=4, depth_max=4, contains=(7,)),
+                  CountQuery(length=7, depth_max=3, med=True)):
         (scan,) = enumeration._plans(query)
         assert scan[3] == int(query.med)
         assert scan[2] == (1,) * query.length
@@ -285,147 +296,32 @@ def test_count_and_genus_consistency():
 
 
 @pytest.mark.parametrize("threads", [2, 5])
-def test_threaded_counts_agree(threads):
-    # f = 24 is answered in closed form; its MED scans are walked on a pool
-    for q in (CountQuery(frobenius=16), CountQuery(frobenius=24),
-              CountQuery(frobenius=24, med=True),
-              CountQuery(length=5, depth_max=6),
-              CountQuery(length=7, depth_exact=3),
-              CountQuery(length=4, depth_max=40)):
-        assert count_words(q, threads=threads) == count_words(q) == \
-            sum(genus_histogram(q).values())
+def test_threaded_counts_agree(threads, capsys):
+    # --threads is accepted and changes nothing: the CLI's count, the
+    # engine's and the histogram's mass agree (MED counts by the lift
+    # against the strict walk)
+    for argv, q in (
+            (["--f", "16"], CountQuery(frobenius=16)),
+            (["--f", "24"], CountQuery(frobenius=24)),
+            (["--f", "24", "--med"], CountQuery(frobenius=24, med=True)),
+            (["--ell", "5", "--depth-max", "6"],
+             CountQuery(length=5, depth_max=6)),
+            (["--ell", "7", "--depth", "3"],
+             CountQuery(length=7, depth_exact=3)),
+            (["--ell", "4", "--depth-max", "40"],
+             CountQuery(length=4, depth_max=40))):
+        assert cli.main(["count", *argv, "--threads", str(threads)]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == \
+            count_words(q) == sum(genus_histogram(q).values())
 
 
-def _recording_pool(monkeypatch):
-    """Open real pools through ``enumeration.Pool``, and record for each the
-    worker count asked for and the tasks mapped."""
-    pools = []
-    real_pool = enumeration.Pool
-
-    def recording_pool(*args, **kwargs):
-        pool = real_pool(*args, **kwargs)
-        real_map = pool.map
-        pools.append((kwargs.get("processes"), []))
-
-        def record(fn, tasks, *rest):
-            pools[-1][1].extend(tasks)
-            return real_map(fn, pools[-1][1], *rest)
-
-        pool.map = record
-        return pool
-
-    monkeypatch.setattr("kunzlab.enumeration.Pool", recording_pool)
-    return pools
-
-
-def _walked(query: CountQuery) -> list:
-    """The query's scans that a pool splits: walked, of length 4 or more."""
-    return [scan for scan in enumeration._plans(query)
-            if scan[0] >= 4 and enumeration._closed_profile(scan) is None]
-
-
-def test_one_pool_per_call(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    pools = _recording_pool(monkeypatch)
-    # MED strictness keeps the scans of f = 24 on the walker, several of
-    # them of length 4 or more: one pool for all of them
-    query = CountQuery(frobenius=24, med=True)
-    assert count_words(query, threads=2) == count_words(query)
-    assert [workers for workers, _ in pools] == [2]
-    assert enumeration._count(query, 2) == (count_words(query), 2)
-    # the other counters run serially
-    genus_histogram(query)
-    enumeration.count_by_length(query)
-    assert len(pools) == 2
-    # a scan shorter than 4 runs serially, and so does every unfiltered
-    # scan of f = 20 and f = 24, which has a closed form
-    for serial in (CountQuery(frobenius=23, length=3, med=True),
-                   CountQuery(frobenius=24, length=3),
-                   CountQuery(frobenius=20), CountQuery(frobenius=24)):
-        assert enumeration._count(serial, 2) == (count_words(serial), 1)
-    assert len(pools) == 2
-
-
-def test_one_pool_task_per_worker(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    pools = _recording_pool(monkeypatch)
-    # a depth bound at the length or above is one walked box; MED and
-    # contains keep several cells on the walker: one deal of all their
-    # pinned scans, one task per worker
-    for query in (CountQuery(length=5, depth_max=6),
-                  CountQuery(frobenius=24, med=True),
-                  CountQuery(frobenius=30, contains=(17,))):
-        pinned = [part for scan in _walked(query)
-                  for part in enumeration._pinned(scan)]
-        assert len(pinned) > 2
-        pools.clear()
-        assert count_words(query, threads=2) == count_words(query)
-        (workers, tasks), = pools
-        assert workers == 2 == len(tasks)
-        # the tasks are disjoint, and together they are every pinned scan
-        dealt = [part for task in tasks for part in task]
-        assert sorted(dealt) == sorted(pinned)
-        assert len(set(dealt)) == len(dealt)
-    # (2, 2), the heaviest pair of each depth-2 MED cell, is its cell's last
-    # pinned scan: each cell starts its deal one worker on, so those pairs
-    # go to both workers, not all to one
-    pools.clear()
-    count_words(CountQuery(frobenius=24, med=True), threads=2)
-    (_, tasks), = pools
-    assert [sum(scan[2][:2] == (2, 2) and max(scan[1]) == 2 for scan in task)
-            for task in tasks] == [5, 5]
-
-
-def test_pool_size_is_capped_at_the_cores(monkeypatch):
-    opened = []
-
-    def zero_pool(processes):
-        # records the pool's size and folds nothing: every task counts 0
-        opened.append(processes)
-        pool = SimpleNamespace(map=lambda fn, tasks: [[0] for _ in tasks])
-        return contextlib.nullcontext(pool)
-
-    monkeypatch.setattr("kunzlab.enumeration.Pool", zero_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    # 90,000 pinned scans, but never more workers than cores
-    query = CountQuery(length=4, depth_max=300)
-    assert enumeration._count(query, 10 ** 6) == (0, 3)
-    assert opened == [3]
-    # capped at one worker, a pooled query runs serially
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    med = CountQuery(frobenius=24, med=True)
-    assert enumeration._count(med, 2) == (count_words(med), 1)
-    assert opened == [3]
-
-
-def test_pinned_scans_partition_each_walked_scan():
-    # the box, the MED cells of f = 24 and the contains cells of f = 22
-    # that hold 6: the pinned scans fold to the whole scan's histogram,
-    # and their words, in order, are its words
-    scans = (_walked(CountQuery(length=5, depth_max=6))
-             + _walked(CountQuery(frobenius=24, med=True))
-             + _walked(CountQuery(frobenius=22, contains=(6,))))
-    assert len(scans) > 3
-    for scan in scans:
-        pinned = enumeration._pinned(scan)
-        assert enumeration._fold(tuple(pinned)) == \
-            enumeration._fold((scan,))
-        words = [word for part in pinned for word in enumeration._words(part)]
-        assert words == list(enumeration._words(scan))
-
-
-def test_plans_hold_only_scans_with_words(monkeypatch):
+def test_plans_hold_only_scans_with_words():
     # a cap below its floor leaves a scan without words: a q = 1 cell
     # longer than f, or a cap that contains lowered below 1, or below q at
-    # the last q's position; no such scan is planned, walked or pooled
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was opened")
-
-    monkeypatch.setattr("kunzlab.enumeration.Pool", no_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # the last q's position; no such scan is planned, walked or solved
     med = CountQuery(frobenius=6, length=14, med=True)
     assert enumeration._plans(med) == []
-    assert enumeration._count(med, 2) == (0, 1)
+    assert count_words(med) == 0
     assert len(enumeration._plans(CountQuery(frobenius=22, contains=(6,)))) == 3
     assert len(enumeration._plans(CountQuery(frobenius=30, contains=(7,)))) == 2
     for query in (med, CountQuery(frobenius=6, length=14),
@@ -492,8 +388,8 @@ def test_closed_genus_polynomials_match_walker():
         closed += 1
         depth4 += profile[0] == 4
         deep += profile[0] >= 5
-        assert _trimmed(enumeration._closed_form(scan[0], *profile)) == \
-            _trimmed(enumeration._fold((scan,)))
+        assert _trimmed(enumeration._closed_form(scan)) == \
+            _trimmed(enumeration._fold(scan))
     assert closed > 300
     assert depth4 >= 78
     assert deep >= 132
@@ -511,7 +407,8 @@ def _brute_closed_forms(q: int, max_length: int) -> None:
                 j = inv.frobenius - (q - 1) * inv.multiplicity
                 want[j][inv.genus] += 1
         for j, hist in want.items():
-            got = enumeration._closed_form(length, q, j)
+            got = enumeration._closed_form(
+                enumeration._frobenius_scan(length, q, j))
             assert {g: n for g, n in enumerate(got) if n} == hist
 
 
@@ -528,17 +425,41 @@ def test_subset_scan_matches_tuned_cases():
     # have no other scan: the _fold sweep and the brute force cover them)
     for length in range(1, 11):
         for j in range(1, length + 1):
-            assert _trimmed(list(enumeration._subset_scan(length, 3, j))) == \
-                _trimmed(enumeration._closed_form(length, 3, j))
+            scan = enumeration._frobenius_scan(length, 3, j)
+            assert _trimmed(list(enumeration._subset_scan(*scan[:3]))) == \
+                _trimmed(enumeration._closed_form(scan))
 
 
 def test_filtered_scans_keep_the_walker():
-    # a lowered cap or MED strictness changes the scan: no closed form
-    for query in (CountQuery(frobenius=11, med=True),
-                  CountQuery(frobenius=11, contains=(4,))):
-        profiles = [enumeration._closed_profile(scan)
-                    for scan in enumeration._plans(query)]
-        assert None in profiles
+    # a cap that contains lowered keeps a closed form; MED strictness
+    # changes the scan, which only the walker answers
+    capped = enumeration._plans(CountQuery(frobenius=11, contains=(4,)))
+    profiles = [enumeration._closed_profile(scan) for scan in capped]
+    assert None not in profiles
+    assert any(scan != enumeration._frobenius_scan(scan[0], *profile)
+               for scan, profile in zip(capped, profiles))
+    assert all(enumeration._closed_profile(scan) is None
+               for scan in enumeration._plans(CountQuery(frobenius=11,
+                                                         med=True)))
+
+
+def test_capped_cells_match_walker():
+    # every cell of a Frobenius query with one contains, most with a cap
+    # lowered, in closed form against the walker's fold of the same scan
+    cells = capped = 0
+    for f in range(1, 29):
+        for n in range(1, f + 3):
+            for scan in enumeration._plans(CountQuery(frobenius=f,
+                                                      contains=(n,))):
+                profile = enumeration._closed_profile(scan)
+                assert profile is not None
+                assert _trimmed(enumeration._closed_form(scan)) == \
+                    _trimmed(enumeration._fold(scan))
+                cells += 1
+                capped += scan != enumeration._frobenius_scan(scan[0],
+                                                              *profile)
+    assert cells == 3016
+    assert capped > 1000
 
 
 def test_empty_depth1_scan_counts_zero():
@@ -547,7 +468,8 @@ def test_empty_depth1_scan_counts_zero():
     query = CountQuery(frobenius=6, length=14)
     assert count_words(query) == 0 == _walked_count(query)
     assert genus_histogram(query) == {}
-    # its multiplicity route counts such scans; a phantom word would raise
+    # the lift's contains queries meet such scans; a phantom word would
+    # make med_count's two routes disagree and raise
     assert med_count(4) == 2
 
 
@@ -582,8 +504,9 @@ def test_stressed3_scan_matches_subset_scan():
     # tuned scan's top window: lengths 1..20 cover both parities, the uncut
     # lengths below 11 and the window sizes k = 1..3 picked from there on
     for length in range(1, 21):
+        scan = enumeration._frobenius_scan(length, 3, length)
         assert enumeration._stressed3_scan(length) == \
-            enumeration._subset_scan(length, 3, length)
+            enumeration._subset_scan(*scan[:3])
 
 
 def test_stressed3_totals_past_the_checked_rows():
@@ -618,6 +541,38 @@ def test_med_count_matches_oracle(f):
             1 for w in words if is_med(w) and w.depth == depth)
     with pytest.raises(ValueError):
         med_count(0)
+
+
+# MED queries with every filter: the depth filters, stressed, a length and
+# contains values on either side of the multiplicity, and below 0
+MED_QUERIES = [
+    CountQuery(frobenius=f, med=True, **extra) for f in range(1, 23)
+    for extra in ([{}] + [dict(depth_exact=q) for q in range(1, 6)]
+                  + [dict(depth_max=q) for q in range(1, 6)]
+                  + [dict(depth_exact=q, stressed=True) for q in range(1, 6)]
+                  + [dict(length=ell) for ell in range(1, f + 2)]
+                  + [dict(contains=(n,)) for n in range(-1, f + 4)])
+] + [CountQuery(length=ell, med=True, **{bound: q})
+     for ell in range(9) for q in range(1, 6)
+     for bound in ("depth_exact", "depth_max")] + [
+    CountQuery(length=ell, depth_max=3, med=True, contains=(n,))
+    for ell in range(1, 7) for n in (-1, 1, ell, ell + 1, ell + 2, 2 * ell + 3)]
+
+
+def test_med_lift_matches_strict_walk():
+    # count_words counts MED words through the lift, by closed contains
+    # cells; the histogram walks the strict inequalities
+    for query in MED_QUERIES:
+        assert count_words(query) == sum(genus_histogram(query).values()), \
+            query
+
+
+def test_med_count_raises_when_its_routes_disagree(monkeypatch):
+    lift = enumeration._med_via_membership
+    monkeypatch.setattr(enumeration, "_med_via_membership",
+                        lambda query: lift(query) + 1)
+    with pytest.raises(ArithmeticError):
+        med_count(9)
 
 
 # ---------------------------------------------------------------------------
