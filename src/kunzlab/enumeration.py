@@ -32,30 +32,29 @@ those positions meet only the first quarter.
 
 MED words are counted through the lift (:func:`_med_via_membership`): a MED
 semigroup of multiplicity m is {0} u (m + T), with T of Frobenius number
-f - m and containing m, so each MED count is a sum of closed ``contains``
-cell counts.  Every count runs serially, in one process.
+f - m and containing m, so each MED count, genus histogram and length split
+sums closed ``contains`` cells shifted by m - 1 in genus.
 
 One walker, :func:`_walk`, searches the MED scans (strict inequalities) of
-:func:`genus_histogram`, :func:`count_by_length` and
-:func:`enumerate_words`, the depth-bound boxes, and the scans that
-:func:`enumerate_words` expands into words without a product structure.  It
-keeps for each position the interval of values the defining inequalities
-allow against the prefix chosen so far, and hands each leaf to its caller as
-a whole value range of the final position.  Counts, genus sums and genus
-histograms all come from one fold of those ranges into a genus difference
-array (:func:`_fold`).  Enumeration mirrors that split (:func:`_cell_words`):
-a closed cell of depth at most 3 with no lowered cap yields its words from
-the product its closed form describes (a free {1,2} head at q = 2; the
-stressed depth-3 words of length j, walked, times free {1,2} tails at
-q = 3), and every other scan expands the walker's ranges into words.  Each
-word is a key of one byte per entry, which compares by memcmp in the order
-of its tuple; a query with a cap of 256 or more packs every key as a tuple
-instead.  The cell streams are merged a block at a time
-(:func:`_merge_blocks`), not a word at a time: the least last key of their
-buffers bounds a block, one C sort merges the pieces below it, and the
-buffers of all the streams together hold one 4096-word batch.
-:func:`_walked_histogram` folds every scan through the walker alone: it is
-the oracle the closed forms are checked against.
+:func:`enumerate_words` and of :func:`med_count`'s check, the depth-bound
+boxes, and the scans that :func:`enumerate_words` expands into words
+without a product structure.  It keeps for each position the interval of
+values the defining inequalities allow against the prefix chosen so far,
+and hands each leaf to its caller as a whole value range of the final
+position; :func:`_fold` turns those ranges into a genus histogram.
+Enumeration splits as the counts do (:func:`_cell_words`): a closed cell of
+depth at most 3 with no lowered cap yields its words from the product its
+closed form describes (a free {1,2} head at q = 2; the stressed depth-3
+words of length j, walked, times free {1,2} tails at q = 3), and every other
+scan expands the walker's ranges into words.  Each word is a key of one byte
+per entry, which compares by memcmp in the order of its tuple; a query with
+a cap of 256 or more packs every key as a tuple instead.  The cell streams
+are merged a block at a time (:func:`_merge_blocks`), not a word at a time:
+the least last key of their buffers bounds a block, one C sort merges the
+pieces below it, and the buffers of all the streams together hold one
+4096-word batch.  :func:`_walked_histogram` folds every scan through the
+walker alone: it is the oracle the closed forms and the lift are checked
+against.
 
 The other counters (:func:`count_stressed3`, :func:`closed_k2`,
 :func:`closed_k3`, :func:`count_depth_le3`, :func:`tail_heavy_count`,
@@ -186,11 +185,10 @@ def _plans(query: CountQuery) -> list[Scan]:
     8       0.85   1.06   1.04   1.84   2.54
     ======  =====  =====  =====  =====  =====
 
-    The depth and stressed filters drop cells; ``contains`` lowers caps,
-    which a closed form still answers, and MED makes every inequality
-    strict, which only the walker answers.  A scan with a cap below its
-    floor (a q = 1 cell longer than f, or a cap that ``contains`` lowered)
-    holds no words and is dropped.
+    The depth and stressed filters drop cells, ``contains`` lowers caps and
+    MED makes every inequality strict.  A scan with a cap below its floor
+    (a q = 1 cell longer than f, or a cap that ``contains`` lowered) holds
+    no words and is dropped.
     """
     _require_finite(query)
     if any(n < 0 for n in query.contains):
@@ -353,11 +351,9 @@ def _fold(scan: Scan) -> list[int]:
 
 
 def _walked_histogram(query: CountQuery) -> dict[int, int]:
-    """The query's genus histogram with every scan walked.
-
-    No closed form enters: this is the reference that the closed genus
-    polynomials of :func:`_closed_form` are tested against.
-    """
+    """The query's genus histogram with every scan walked: no closed form
+    or lift enters, so the closed genus polynomials of :func:`_closed_form`
+    and the MED lift are tested against it."""
     return _sum(map(_fold, _plans(query)))
 
 
@@ -442,13 +438,21 @@ def _sum(hists) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
+def _parts(query: CountQuery) -> list[tuple[int, list[int]]]:
+    """The query's words as disjoint parts ``(length, genus histogram)``:
+    MED ones through the lift, else one per plan (see :func:`_solve`)."""
+    if query.med:
+        return _med_via_membership(query)
+    return [(scan[0], _solve(scan)) for scan in _plans(query)]
+
+
 def genus_histogram(query: CountQuery) -> dict[int, int]:
     """Exact histogram ``genus -> number of matching words``.
 
-    Cells come from closed genus polynomials, and the MED scans and the
-    depth-bound boxes are walked.
+    Cells come from closed genus polynomials, MED words through the lift
+    onto closed cells, and the depth-bound boxes are walked.
     """
-    return _sum(map(_solve, _plans(query)))
+    return _sum(hist for _, hist in _parts(query))
 
 
 def count_and_genus(query: CountQuery) -> tuple[int, int]:
@@ -458,22 +462,15 @@ def count_and_genus(query: CountQuery) -> tuple[int, int]:
 
 
 def count_words(query: CountQuery) -> int:
-    """Number of Kunz words matching the query, in one process.
-
-    A MED query is counted through the lift (:func:`_med_via_membership`),
-    as a sum of closed ``contains`` cells.  Any other query sums its plans:
-    every cell in closed form, and a depth-bound box walked.
-    """
-    if query.med:
-        return _med_via_membership(query)
-    return sum(map(sum, map(_solve, _plans(query))))
+    """Number of Kunz words matching the query, in one process."""
+    return sum(sum(hist) for _, hist in _parts(query))
 
 
 def count_by_length(query: CountQuery) -> dict[int, int]:
     """Number of matching words of each length, ``length -> count``."""
     counts: dict[int, int] = {}
-    for scan in _plans(query):
-        counts[scan[0]] = counts.get(scan[0], 0) + sum(_solve(scan))
+    for length, hist in _parts(query):
+        counts[length] = counts.get(length, 0) + sum(hist)
     return {length: n for length, n in sorted(counts.items()) if n}
 
 
@@ -867,46 +864,49 @@ def closed_k3(frobenius: int, length: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _med_via_membership(query: CountQuery) -> int:
-    """Count the MED words of a query through the lift, by multiplicity.
+def _med_via_membership(query: CountQuery) -> list[tuple[int, list[int]]]:
+    """The MED words of a query through the lift, as parts ``(length,
+    genus histogram)``, one per plan of each lifted cell.
 
     A MED semigroup S with multiplicity m and Frobenius number f is
     {0} u (m + T), where T has Frobenius number f - m and contains m; the
     extreme case f = m - 1 (the word of ones) is the lift of the full set
-    of nonnegative integers.  The cells of :func:`_cells` select the pairs
-    (f, m) that the depth, stressed and length filters allow, and S
-    contains n > 0 exactly when n >= m and T contains n - m.  So each cell
-    adds the count of one closed ``contains`` query on T.
+    of nonnegative integers.  The gaps of S are 1..m-1 and m plus the
+    gaps of T, so its genus is T's plus m - 1, the length.  The cells of
+    :func:`_cells` select the pairs (f, m) that the depth, stressed and
+    length filters allow, and S contains n > 0 exactly when n >= m and T
+    contains n - m.  So each cell adds the closed plans of one
+    ``contains`` query on T, shifted by the length in genus.
     """
     _require_finite(query)
     contains = [n for n in query.contains if n]
-    total = 0
+    parts = []
     for ell, q, j in _cells(query):
         m = ell + 1
         if any(n < m for n in contains):
             continue  # S misses every n < m but 0
-        if q == 1:
-            total += j == ell
-        else:
-            total += count_words(CountQuery(
-                frobenius=m * (q - 2) + j,
-                contains=(m, *[n - m for n in contains])))
-    return total
+        if q > 1:
+            lifted = CountQuery(frobenius=m * (q - 2) + j,
+                                contains=(m, *[n - m for n in contains]))
+            parts += [(ell, [0] * ell + _solve(scan))
+                      for scan in _plans(lifted)]
+        elif j == ell:
+            parts.append((ell, [0] * ell + [1]))
+    return parts
 
 
 def med_count(frobenius: int, depth: int | None = None) -> int:
     """Number of MED words with the given Frobenius number (and depth, if set).
 
-    Computed two independent ways -- through the lift
-    (:func:`count_words`, by way of :func:`_med_via_membership`), and by
-    walking the strict inequalities (:func:`genus_histogram`) -- and
-    cross-checked before returning.
+    Computed two independent ways -- through the lift (:func:`count_words`)
+    and by walking the strict inequalities (:func:`_walked_histogram`) --
+    and cross-checked before returning.
     """
     if frobenius < 1:
         raise ValueError("the Frobenius number must be at least 1")
     query = CountQuery(frobenius=frobenius, depth_exact=depth, med=True)
     lifted = count_words(query)
-    walked = sum(genus_histogram(query).values())
+    walked = sum(_walked_histogram(query).values())
     if lifted != walked:
         raise ArithmeticError(
             f"MED count mismatch at frobenius={frobenius}, depth={depth}: "

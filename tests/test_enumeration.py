@@ -18,6 +18,7 @@ from kunzlab.enumeration import (
     closed_k2,
     closed_k3,
     count_and_genus,
+    count_by_length,
     count_depth_le3,
     count_stressed3,
     count_words,
@@ -205,6 +206,7 @@ def test_filters_match_definition(f, extra):
     assert sorted(enumerate_words(query)) == oracle
     assert count_words(query) == len(oracle)
     assert genus_histogram(query) == Counter(w.genus for w in oracle)
+    assert count_by_length(query) == Counter(len(w) for w in oracle)
 
 
 def test_genus_histogram_matches_counter():
@@ -221,9 +223,9 @@ def test_signed_histogram_matches_brute():
     # no Frobenius number: an exact depth q is the union of the cells
     # j = 1..length, closed unless MED makes them strict, and a depth bound
     # is its closed cells below the length and one box otherwise (or with
-    # MED); MED counts go through the lift; every variant against the
-    # definition over {1..q}^length, whose product order is the engine's
-    # word order
+    # MED); MED counts and histograms go through the lift and MED words
+    # are walked; every variant against the definition over
+    # {1..q}^length, whose product order is the engine's word order
     for length in range(1, 7):
         for q in range(1, 5):
             words = list(map(KunzWord,
@@ -298,8 +300,9 @@ def test_count_and_genus_consistency():
 @pytest.mark.parametrize("threads", [2, 5])
 def test_threaded_counts_agree(threads, capsys):
     # --threads is accepted and changes nothing: the CLI's count, the
-    # engine's and the histogram's mass agree (MED counts by the lift
-    # against the strict walk)
+    # engine's and the histogram's mass agree (a MED count and histogram
+    # both come from the lift; test_med_lift_matches_strict_walk checks
+    # them against the strict walk)
     for argv, q in (
             (["--f", "16"], CountQuery(frobenius=16)),
             (["--f", "24"], CountQuery(frobenius=24)),
@@ -560,17 +563,26 @@ MED_QUERIES = [
 
 
 def test_med_lift_matches_strict_walk():
-    # count_words counts MED words through the lift, by closed contains
-    # cells; the histogram walks the strict inequalities
+    # MED counts, histograms and length splits come from the lift onto
+    # closed contains cells; the strict walk of each plan shares no code
+    # with them, and its folds, summed, are _walked_histogram's
     for query in MED_QUERIES:
-        assert count_words(query) == sum(genus_histogram(query).values()), \
-            query
+        walked, by_length = Counter(), Counter()
+        for scan in enumeration._plans(query):
+            hist = enumeration._fold(scan)
+            walked.update(dict(enumerate(hist)))
+            by_length[scan[0]] += sum(hist)
+        assert genus_histogram(query) == +walked, query
+        assert count_by_length(query) == +by_length, query
+        assert count_words(query) == sum(by_length.values()), query
 
 
 def test_med_count_raises_when_its_routes_disagree(monkeypatch):
-    lift = enumeration._med_via_membership
-    monkeypatch.setattr(enumeration, "_med_via_membership",
-                        lambda query: lift(query) + 1)
+    # med_count must check the lift against the strict walk, not against
+    # genus_histogram, which takes the lift too
+    walk = enumeration._walked_histogram
+    monkeypatch.setattr(enumeration, "_walked_histogram",
+                        lambda query: {**walk(query), -1: 1})
     with pytest.raises(ArithmeticError):
         med_count(9)
 
