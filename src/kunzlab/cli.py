@@ -196,8 +196,9 @@ def _block_text(block, sep: str, cut: str) -> str:
     and ``cut`` between words.
 
     A block of bytes keys whose entries are all at most 9 is joined with
-    the byte 0 between words, translated to digits (0 to "0"), split into
-    characters by ``sep`` and cut at each "0"; no word holds a 0.  Any
+    the byte 0 between words, translated to digits (0 to "0"), spaced by
+    ``sep`` (slice assignments into one ``bytearray``: C loops that make no
+    string per character) and cut at each "0"; no word holds a 0.  Any
     other block goes through ``json.dumps``.
     """
     if isinstance(block[0], bytes):
@@ -205,8 +206,14 @@ def _block_text(block, sep: str, cut: str) -> str:
         # no entry above 9: deleting the bytes 0..9 leaves nothing, a C
         # loop where max(raw) would make an int of every byte
         if not raw.translate(None, _SMALL):
-            text = sep.join(raw.translate(_DIGITS).decode("ascii"))
-            return text.replace(f"{sep}0{sep}", cut)
+            digits = raw.translate(_DIGITS)
+            gap = sep.encode("ascii")
+            step, n = len(gap) + 1, len(digits)
+            spaced = bytearray(step * n - len(gap))
+            spaced[::step] = digits
+            for i, byte in enumerate(gap, 1):
+                spaced[i::step] = bytes((byte,)) * (n - 1)
+            return spaced.decode("ascii").replace(f"{sep}0{sep}", cut)
     # "[[1, 2], [2, 1]]" -> "1, 2], [2, 1" -> "1,2\n2,1" for CSV
     text = json.dumps(list(map(list, block)))[2:-2]
     return text.replace("], [", cut).replace(", ", sep)

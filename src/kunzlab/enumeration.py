@@ -41,7 +41,11 @@ boxes, and the scans that :func:`enumerate_words` expands into words
 without a product structure.  It keeps for each position the interval of
 values the defining inequalities allow against the prefix chosen so far,
 and hands each leaf to its caller as a whole value range of the final
-position; :func:`_fold` turns those ranges into a genus histogram.
+position; :func:`_fold` turns those ranges into a genus histogram.  The
+final position's cap and floor are carried down the prefix as two running
+aggregates, each refreshed in O(1) when a position is set, so the
+position before it is looped flat and each leaf costs O(1), not a pass
+over the word.
 Enumeration splits as the counts do (:func:`_cell_words`): a closed cell of
 depth at most 3 with no lowered cap yields its words from the product its
 closed form describes (a free {1,2} head at q = 2; the stressed depth-3
@@ -172,18 +176,22 @@ def _plans(query: CountQuery) -> list[Scan]:
     box, caps at the bound and floors at 1.  A closed cell and a walked cell
     cost about the same, but the box shares each prefix among all its
     q*length cells and hands the last position over as one value range,
-    which beats the cells up to about length q.  Box time over cells time,
+    which beats the cells at every l <= q.  Box time over cells time,
     serial, best of 3 (one run at l >= 9) on a 2-core x86-64 host:
 
     ======  =====  =====  =====  =====  =====
     q \\ l   q-2    q-1    q      q+1    q+2
     ======  =====  =====  =====  =====  =====
-    4       0.23   0.29   0.55   1.13   2.33
-    5       0.21   0.46   0.89   1.78   2.84
-    6       0.40   0.70   0.90   1.75   4.78
-    7       0.63   1.08   1.60   1.90   1.97
-    8       0.85   1.06   1.04   1.84   2.54
+    4       0.12   0.11   0.23   0.42   0.99
+    5       0.09   0.14   0.37   0.82   2.05
+    6       0.15   0.30   0.55   0.84   0.97
+    7       0.26   0.42   0.76   0.73   0.88
+    8       0.32   0.50   0.53   0.61   0.79
     ======  =====  =====  =====  =====  =====
+
+    The box also wins at l = q + 1, and at l = q + 2 except q = 5, by less;
+    the rule still plans those lengths as cells (ROADMAP item 3 weighs
+    moving it against a subset scan that bins its last position).
 
     The depth and stressed filters drop cells, ``contains`` lowers caps and
     MED makes every inequality strict.  A scan with a cap below its floor
@@ -226,11 +234,27 @@ def _walk(scan: Scan):
     entry sum ``gsum``, and it extends to a valid word exactly by the values
     ``lb..ub`` at the last position.  Leaves come in lexicographic order.
     ``w`` is reused, so read it before asking for the next leaf.
+
+    Each position's interval comes from the inequalities against the prefix
+    set so far.  The last position L's terms are carried down the prefix
+    instead: ``hi[k]`` and ``lo[k]`` are its cap and floor from the terms
+    that positions 1..k complete, the pair (L-k, k) once 2k >= L and the
+    wrapped difference w[k-1] - w[k], each refreshed in O(1) when position
+    k is set or incremented.  Position L-1 is then looped flat: for each of
+    its values v only the pair (1, L-1), w[L-2] - v and the self pair of L
+    remain, so neither L-1 nor L is pushed or backed out of.
     """
     length, caps, floors, strict = scan
     comp = 1 - strict
     w = [0] * (length + 1)
-    top = [0] * (length + 1)  # the largest value allowed at each set position
+    last = length - 1  # the position looped flat
+    if not last:
+        if floors[0] <= caps[0]:
+            yield w, 0, floors[0], caps[0]
+        return
+    hi = [caps[last]] * last
+    lo = [floors[last]] * last
+    top = [0] * last  # the largest value allowed at each set position
     gsum = 0
     p = 1
     while True:
@@ -250,23 +274,47 @@ def _walk(scan: Scan):
             cand = (w[2 * p - length - 1] - comp + 1) // 2
             if cand > lb:
                 lb = cand
-        if lb <= ub:
-            if p < length:
-                w[p] = lb
-                top[p] = ub
-                gsum += lb
-                p += 1
-                continue
-            yield w, gsum, lb, ub
-        # back up to the deepest position with a larger value left to try
-        p -= 1
-        while p and w[p] == top[p]:
-            gsum -= w[p]
+        if lb <= ub and p < last:
+            w[p] = lb
+            top[p] = ub
+            gsum += lb
+        else:
+            if lb <= ub:
+                cap, floor = hi[p - 1], lo[p - 1]
+                # w[0] = 0 makes the wrapped term void at length 2
+                wrap = w[p - 1] - comp
+                for v in range(lb, ub + 1):
+                    w[p] = v
+                    high = w[1] + v - strict
+                    if high > cap:
+                        high = cap
+                    low = wrap - v
+                    if low < floor:
+                        low = floor
+                    cand = (v + strict) // 2
+                    if cand > low:
+                        low = cand
+                    if low <= high:
+                        yield w, gsum + v, low, high
+            # back up to the deepest position with a larger value left to try
             p -= 1
-        if not p:
-            return
-        w[p] += 1
-        gsum += 1
+            while p and w[p] == top[p]:
+                gsum -= w[p]
+                p -= 1
+            if not p:
+                return
+            w[p] += 1
+            gsum += 1
+        cap, floor = hi[p - 1], lo[p - 1]
+        if 2 * p >= length:
+            cand = w[length - p] + w[p] - strict
+            if cand < cap:
+                cap = cand
+        # at p = 1 the difference is w[0] - w[1] - comp < 1 <= every floor
+        cand = w[p - 1] - w[p] - comp
+        if cand > floor:
+            floor = cand
+        hi[p], lo[p] = cap, floor
         p += 1
 
 

@@ -9,6 +9,7 @@ import json
 from collections import Counter
 from dataclasses import replace
 from itertools import chain, islice, product
+from operator import le
 
 import pytest
 
@@ -247,6 +248,43 @@ def test_signed_histogram_matches_brute():
                 assert count_and_genus(query) == (
                     len(want), sum(w.genus for w in want))
                 assert count_words(query) == len(want)
+
+
+def test_walker_matches_definition_on_small_scans():
+    # every Frobenius cell and every depth-bound box of length l <= 5 and
+    # depth q <= 6, plain, MED, and plain with one cap lowered as a
+    # contains lowers it, walked (_fold, _words) against the definition:
+    # the words of {1..q}^l between floors and caps that satisfy both
+    # inequality families, strictly for MED, in product order; lengths 1
+    # and 2, where the walker loops position 1 flat or not at all, included
+    scans = leaves = 0
+    for length in range(1, 6):
+        for q in range(1, 7):
+            words = list(product(range(1, q + 1), repeat=length))
+            valid = ([w for w in words if is_kunz(w)],
+                     [w for w in words if is_med(w)])
+            for base in [(length, (q,) * length, (1,) * length)] + [
+                    enumeration._frobenius_scan(length, q, j)[:3]
+                    for j in range(1, length + 1)]:
+                _, caps, floors = base
+                forms = [(caps, 0), (caps, 1)] + [
+                    (caps[:r] + (caps[r] - 1,) + caps[r + 1:], 0)
+                    for r in range(length) if caps[r] > floors[r]]
+                for top, strict in forms:
+                    scan = (length, top, floors, strict)
+                    want = [w for w in valid[strict]
+                            if all(map(le, floors, w)) and
+                            all(map(le, w, top))]
+                    assert list(enumeration._words(scan)) == want
+                    walked = _trimmed(enumeration._fold(scan))
+                    hist = Counter(map(sum, want))
+                    assert walked == [hist[g] for g in range(len(walked))]
+                    assert sum(walked) == len(want)
+                    n = sum(1 for _ in enumeration._walk(scan))
+                    assert length > 1 or n == (len(want) > 0)
+                    scans += 1
+                    leaves += n
+    assert (scans, leaves) == (495, 17520)
 
 
 def test_depth_bound_cells_match_walked_box():
