@@ -77,18 +77,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count the words matching a query")
+    p.set_defaults(run=_cmd_count)
     _add_query_flags(p)
     _add_threads_flag(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("enumerate", help="list the words matching a query")
+    p.set_defaults(run=_cmd_enumerate)
     _add_query_flags(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("table", help="emit a shipped reference table as CSV")
+    p.set_defaults(run=_cmd_table)
     p.add_argument("which", choices=("stressed3", "fm"))
 
     p = sub.add_parser("constants", help="emit a constant bracket as JSON")
+    p.set_defaults(run=_cmd_constants)
     p.add_argument("--which", required=True,
                    choices=("c0", "c1", "mu0", "mu1", "gamma0", "gamma1"))
     p.add_argument("--j-cut", type=int, default=56,
@@ -97,11 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="series cutoff for the mean constants")
 
     p = sub.add_parser("dist", help="emit an exact distribution as CSV")
+    p.set_defaults(run=_cmd_dist)
     p.add_argument("which", choices=("mult", "genus"))
     p.add_argument("--f", type=int, required=True, help="Frobenius number")
     _add_threads_flag(p)
 
     p = sub.add_parser("hom", help="count graph homomorphisms")
+    p.set_defaults(run=_cmd_hom)
     p.add_argument("--d", type=int, help="half-size of the bipartite pattern")
     p.add_argument("--q", type=int, required=True,
                    help="threshold-target label count")
@@ -109,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pattern graph file (see graph_from_text)")
 
     p = sub.add_parser("bounds", help="emit explicit bounds as JSON")
+    p.set_defaults(run=_cmd_bounds)
     p.add_argument("--monotone", action="store_true",
                    help="check the growth-base monotonicity sweep")
     p.add_argument("--q-max", type=int, default=10_000)
@@ -121,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int)
 
     p = sub.add_parser("plot", help="emit figure data as CSV")
+    p.set_defaults(run=_cmd_plot)
     p.add_argument("which", choices=("growth", "table1-ratio", "fm-scatter"))
     p.add_argument("--m", type=int, help="fm-scatter: keep one multiplicity")
     p.add_argument("--x-max", type=float, default=6.0,
@@ -129,6 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="growth: x increment")
 
     p = sub.add_parser("verify", help="run the self-verification suite")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--suite", choices=("tables", "all"), default="all")
 
     return parser
@@ -174,7 +183,7 @@ def _emit_json(payload: dict, out) -> None:
     print(json.dumps(payload), file=out)
 
 
-def _cmd_count(args, out) -> int:
+def _cmd_count(args, out, err) -> int:
     query = _build_query(args)
     count = eng.count_words(query)
     if args.format == "csv":
@@ -219,7 +228,7 @@ def _block_text(block, sep: str, cut: str) -> str:
     return text.replace("], [", cut).replace(", ", sep)
 
 
-def _cmd_enumerate(args, out) -> int:
+def _cmd_enumerate(args, out, err) -> int:
     """Stream the words one merged block at a time, with the bytes of one
     ``json.dumps`` of the whole payload (or of one CSV row per word).
 
@@ -245,22 +254,22 @@ def _cmd_enumerate(args, out) -> int:
     return 0
 
 
-def _cmd_table(args, out, ref_dir) -> int:
+def _cmd_table(args, out, err) -> int:
     if args.which == "stressed3":
-        rows = refdata.load_table1(ref_dir)
+        rows = refdata.load_table1(args.ref_data)
         print("ell,count", file=out)
         for ell in sorted(rows):
             print(f"{ell},{rows[ell]}", file=out)
     else:
-        rows = refdata.load_table2(ref_dir)
+        rows = refdata.load_table2(args.ref_data)
         print("f,m,count", file=out)
         for f, m in sorted(rows):
             print(f"{f},{m},{rows[f, m]}", file=out)
     return 0
 
 
-def _cmd_constants(args, out, ref_dir) -> int:
-    table1 = refdata.load_table1(ref_dir)
+def _cmd_constants(args, out, err) -> int:
+    table1 = refdata.load_table1(args.ref_data)
     parity = "even" if args.which in ("c0", "mu0", "gamma0") else "odd"
     bracket = stats_mod.backelin_bracket(parity, j_cut=args.j_cut,
                                          table1=table1)
@@ -280,7 +289,7 @@ def _cmd_constants(args, out, ref_dir) -> int:
     return 0
 
 
-def _cmd_dist(args, out) -> int:
+def _cmd_dist(args, out, err) -> int:
     if args.f < 3:
         raise _Usage("--f must be at least 3")
     if args.which == "mult":
@@ -295,7 +304,7 @@ def _cmd_dist(args, out) -> int:
     return 0
 
 
-def _cmd_hom(args, out) -> int:
+def _cmd_hom(args, out, err) -> int:
     if (args.d is None) == (args.graph is None):
         raise _Usage("give exactly one of --d or --graph")
     if args.q < 1:
@@ -315,7 +324,7 @@ def _cmd_hom(args, out) -> int:
     return 0
 
 
-def _cmd_bounds(args, out) -> int:
+def _cmd_bounds(args, out, err) -> int:
     if args.monotone:
         report = bounds_mod.check_c_monotone(q_max=args.q_max)
         _emit_json({"q_max": args.q_max, "ok": report.ok,
@@ -356,7 +365,7 @@ def _cmd_bounds(args, out) -> int:
                  "--tail-width --ell --depth, or --f --q")
 
 
-def _cmd_plot(args, out, ref_dir) -> int:
+def _cmd_plot(args, out, err) -> int:
     if args.which == "growth":
         if args.x_max < 1.0 or args.step <= 0.0:
             raise _Usage("--x-max must be >= 1 and --step positive")
@@ -376,13 +385,13 @@ def _cmd_plot(args, out, ref_dir) -> int:
         print("\n".join(lines), file=out)
         return 0
     if args.which == "table1-ratio":
-        rows = refdata.load_table1(ref_dir)
+        rows = refdata.load_table1(args.ref_data)
         print("ell,ratio", file=out)
         for ell in sorted(rows):
             ratio = rows[ell] / 6.0 ** (ell / 2.0)
             print(f"{ell},{ratio:.6f}", file=out)
         return 0
-    rows = refdata.load_table2(ref_dir)
+    rows = refdata.load_table2(args.ref_data)
     print("m,f,x,y", file=out)
     for f, m in sorted(rows, key=lambda cell: (cell[1], cell[0])):
         if args.m is not None and m != args.m:
@@ -406,27 +415,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     out, err = sys.stdout, sys.stderr
-    ref_dir = args.ref_data
     start = time.perf_counter()
     try:
-        if args.command == "count":
-            code = _cmd_count(args, out)
-        elif args.command == "enumerate":
-            code = _cmd_enumerate(args, out)
-        elif args.command == "table":
-            code = _cmd_table(args, out, ref_dir)
-        elif args.command == "constants":
-            code = _cmd_constants(args, out, ref_dir)
-        elif args.command == "dist":
-            code = _cmd_dist(args, out)
-        elif args.command == "hom":
-            code = _cmd_hom(args, out)
-        elif args.command == "bounds":
-            code = _cmd_bounds(args, out)
-        elif args.command == "plot":
-            code = _cmd_plot(args, out, ref_dir)
-        else:
-            code = _cmd_verify(args, out, err)
+        code = args.run(args, out, err)
         # a reader that has gone shows here, not at the interpreter's exit
         out.flush()
     except BrokenPipeError:

@@ -14,10 +14,10 @@ MED length query with a depth bound, is one walked box scan instead (see
 :func:`_plans` for why).
 
 Every cell without MED strictness has a closed genus polynomial
-(:func:`_closed_profile`, :func:`_closed_form`): the cell (l, q, j) has x^l
-(q = 1, j = l), x^(l+1)(1+x)^k (q = 2, k the positions before j still capped
-at 2) and S_j(x)(x+x^2)^(l-j) (q = 3, no cap lowered), where S_j is the
-genus polynomial of the stressed depth-3 words of length j; every other cell
+(:func:`_closed_form`): the cell (l, q, j) has x^l (q = 1, j = l),
+x^(l+1)(1+x)^k (q = 2, k the positions before j still capped at 2) and
+S_j(x)(x+x^2)^(l-j) (q = 3, no cap lowered), where S_j is the genus
+polynomial of the stressed depth-3 words of length j; every other cell
 of depth q >= 3 has its polynomial from a subset scan.  By the paper's lower
 bound, an entry in the upper half of the range never breaks an inequality,
 and a lowered cap keeps that true, so each entry is either low or one
@@ -73,7 +73,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, chain, islice, product, repeat
 from math import comb, isqrt
-from operator import add, ge, le
+from operator import add
 
 from .words import CountQuery, KunzWord
 
@@ -96,10 +96,14 @@ __all__ = [
     "tail_heavy_count",
 ]
 
-# a scan is (length, caps, floors, strict): the words of the given length lying
-# between floors and caps pointwise that satisfy both inequality families,
-# strictly when strict is 1 (the MED words)
-Scan = tuple[int, tuple[int, ...], tuple[int, ...], int]
+# a scan is (length, caps, j, strict): the words of the given length with
+# every entry between 1 and its cap that satisfy both inequality families,
+# strictly when strict is 1 (the MED words).  j >= 1 names a cell: its
+# maximum q = caps[j-1] is pinned at position j.  j = 0 marks a depth-bound
+# box.  The pin is read from the caps, so a cell whose pinned cap a
+# contains lowered would read as a different cell, not as an empty one;
+# _plans drops such a cell.
+Scan = tuple[int, tuple[int, ...], int, int]
 
 # words an enumeration holds at once, over all its plans' streams together
 _BATCH = 4096
@@ -129,9 +133,7 @@ def _frobenius_scan(length: int, q: int, j: int) -> Scan:
     """The unfiltered scan of the words of the given length whose maximum q
     occurs last at position j: every word with one Frobenius number and
     length (see :func:`_depth_profile`)."""
-    caps = (q,) * j + (q - 1,) * (length - j)
-    floors = (1,) * (j - 1) + (q,) + (1,) * (length - j)
-    return length, caps, floors, 0
+    return length, (q,) * j + (q - 1,) * (length - j), j, 0
 
 
 def _require_finite(query: CountQuery) -> None:
@@ -173,8 +175,8 @@ def _plans(query: CountQuery) -> list[Scan]:
     ``contains`` lowers.  A length query with a depth bound q is the union
     of its cells for every depth up to q, but it is planned so only when the
     length is above q and the query is not MED; otherwise it is one walked
-    box, caps at the bound and floors at 1.  A closed cell and a walked cell
-    cost about the same, but the box shares each prefix among all its
+    box, caps at the bound and no pin (j = 0).  A closed cell and a walked
+    cell cost about the same, but the box shares each prefix among all its
     q*length cells and hands the last position over as one value range,
     which beats the cells at every l <= q.  Box time over cells time,
     serial, best of 3 (one run at l >= 9) on a 2-core x86-64 host:
@@ -194,30 +196,31 @@ def _plans(query: CountQuery) -> list[Scan]:
     moving it against a subset scan that bins its last position).
 
     The depth and stressed filters drop cells, ``contains`` lowers caps and
-    MED makes every inequality strict.  A scan with a cap below its floor
-    (a q = 1 cell longer than f, or a cap that ``contains`` lowered) holds
-    no words and is dropped.
+    MED makes every inequality strict.  A scan keeps words only while every
+    cap is at least 1 and a cell's pinned cap is still its q; any other (a
+    q = 1 cell longer than f, a cap that ``contains`` lowered to 0, or a
+    cell's pin that it lowered) is dropped.
     """
     _require_finite(query)
     if any(n < 0 for n in query.contains):
         return []
     length, bound = query.length, query.depth_max
     if query.frobenius is None and bound and (length <= bound or query.med):
-        scans = ([(length, (bound,) * length, (1,) * length, 0)]
-                 if length >= 1 else [])
+        scans = [(length, (bound,) * length, 0, 0)] if length >= 1 else []
     else:
         scans = [_frobenius_scan(*cell) for cell in _cells(query)]
     strict = 1 if query.med else 0
     plans = []
-    for length, caps, floors, _ in scans:
+    for length, caps, j, _ in scans:
         m = length + 1
+        q = caps[j - 1]
         caps = list(caps)
         for n in query.contains:
             r = n % m
             if r:
                 caps[r - 1] = min(caps[r - 1], n // m)
-        if all(map(ge, caps, floors)):
-            plans.append((length, tuple(caps), floors, strict))
+        if min(caps) >= 1 and (not j or caps[j - 1] == q):
+            plans.append((length, tuple(caps), j, strict))
     return plans
 
 
@@ -230,10 +233,12 @@ def _walk(scan: Scan):
     """Yield the leaves of a scan's search tree.
 
     The search fixes positions one at a time, from 1 up to the word length.
-    Each leaf is ``(w, gsum, lb, ub)``: ``w[1:length]`` is a valid prefix with
-    entry sum ``gsum``, and it extends to a valid word exactly by the values
-    ``lb..ub`` at the last position.  Leaves come in lexicographic order.
-    ``w`` is reused, so read it before asking for the next leaf.
+    Each entry's floor is 1, but a cell's pinned entry, at j, is floored at
+    its cap q.  Each leaf is ``(w, gsum, lb, ub)``: ``w[1:length]`` is a
+    valid prefix with entry sum ``gsum``, and it extends to a valid word
+    exactly by the values ``lb..ub`` at the last position.  Leaves come in
+    lexicographic order.  ``w`` is reused, so read it before asking for the
+    next leaf.
 
     Each position's interval comes from the inequalities against the prefix
     set so far.  The last position L's terms are carried down the prefix
@@ -244,7 +249,10 @@ def _walk(scan: Scan):
     its values v only the pair (1, L-1), w[L-2] - v and the self pair of L
     remain, so neither L-1 nor L is pushed or backed out of.
     """
-    length, caps, floors, strict = scan
+    length, caps, j, strict = scan
+    floors = [1] * length
+    if j:
+        floors[j - 1] = caps[j - 1]
     comp = 1 - strict
     w = [0] * (length + 1)
     last = length - 1  # the position looped flat
@@ -353,11 +361,11 @@ def _cell_words(scan: Scan, pack=tuple):
     Packed as ``bytes``, the words compare as the tuples do (memcmp, a
     shorter prefix first), so merging and sorting them keeps tuple order.
     """
-    length, profile = scan[0], _closed_profile(scan)
-    if (profile is None or profile[0] >= 4
-            or scan != _frobenius_scan(length, *profile)):
+    length, caps, j, _ = scan
+    q = caps[j - 1]
+    # a box (j = 0), a MED scan and a cell with a lowered cap are walked
+    if not j or q >= 4 or scan != _frobenius_scan(length, q, j):
         return _words(scan, pack)
-    q, j = profile
     if q == 1:
         return iter([pack((1,) * length)] if j == length else [])
     if q == 2:
@@ -410,32 +418,16 @@ def _walked_histogram(query: CountQuery) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _closed_profile(scan: Scan) -> tuple[int, int] | None:
-    """``(q, j)`` when the scan is a cell, ``_frobenius_scan(length, q, j)``
-    with any caps lowered, so that :func:`_closed_form` answers it;
-    otherwise (MED strictness, a box) ``None``.
-
-    j is the last position of the largest floor: q's position, or the
-    length when every floor is 1, as in a q = 1 cell.
-    """
-    length, caps, floors, strict = scan
-    j = length - floors[::-1].index(max(floors))
-    q = caps[j - 1]
-    _, cell_caps, cell_floors, _ = _frobenius_scan(length, q, j)
-    if (not strict and floors == cell_floors
-            and all(map(le, caps, cell_caps))):
-        return q, j
-    return None
-
-
 def _closed_form(scan: Scan) -> list[int] | None:
-    """Genus histogram, indexed by genus, of a cell (see
-    :func:`_closed_profile`), or ``None`` for any other scan.
+    """Genus histogram, indexed by genus, of a cell: a scan with a pin
+    j >= 1 and no MED strictness, its maximum q = caps[j-1] at j.  A box
+    (j = 0) or a MED scan gives ``None``, and :func:`_solve` walks it.
 
     For q <= 2, and for q = 3 with no cap lowered, the genus polynomial is a
     sum of terms x^shift (1+x)^free:
 
-    * q = 1: the single word of ones (j = length);
+    * q = 1: the single word of ones when j = length, else nothing (the
+      caps after j are 0);
     * q = 2: every {1,2}-word with its last 2 at position j is valid, so
       x^(l+1) (1+x)^k, where k counts the positions before j whose cap is
       still 2 (``contains`` pins the others to 1);
@@ -446,13 +438,12 @@ def _closed_form(scan: Scan) -> list[int] | None:
     :func:`_cell_words` reads the words of the uncapped q <= 3 cells from
     the same products.
     """
-    profile = _closed_profile(scan)
-    if profile is None:
+    length, caps, j, strict = scan
+    if not j or strict:
         return None
-    length, caps, floors, _ = scan
-    q, j = profile
+    q = caps[j - 1]
     if q == 1:
-        bins = {(length, 0): 1}
+        bins = {(length, 0): 1} if j == length else {}
     elif q == 2:
         bins = {(length + 1, caps[:j - 1].count(2)): 1}
     elif q == 3 and caps == _frobenius_scan(length, 3, j)[1]:
@@ -460,7 +451,7 @@ def _closed_form(scan: Scan) -> list[int] | None:
         bins = {(g + free, free): c
                 for g, c in enumerate(_stressed3_scan(j)) if c}
     else:
-        return list(_subset_scan(length, caps, floors))
+        return list(_subset_scan(length, caps, j))
     return list(_expand(bins))
 
 
@@ -709,13 +700,13 @@ def _stressed3_scan(length: int) -> tuple[int, ...]:
 
 
 def _subset_scan(length: int, caps: tuple[int, ...],
-                 floors: tuple[int, ...]) -> tuple[int, ...]:
+                 j: int) -> tuple[int, ...]:
     """Genus polynomial of a cell of depth q >= 3, by genus: the scan
-    ``(length, caps, floors, 0)`` where ``_frobenius_scan(length, q, j)``
-    has had any caps lowered, as by ``contains``.
+    ``(length, caps, j, 0)``, ``_frobenius_scan(length, q, j)`` with any
+    caps but the pinned one lowered, as by ``contains``.
 
-    The maximum q is pinned at position j, the one floor above 1, and
-    q = caps[j-1]; the caps are at most q before j and at most q-1 after.
+    The maximum q = caps[j-1] is pinned at position j; the caps are at
+    most q before j and at most q-1 after.
     Call an entry *low* if it lies in 1..q-2 before j or in 1..q-3 after j;
     the other values form one *big* slot, {q-1, q} before j and {b, q-1}
     after j with b = max(q-2, 1).  Every inequality with a big entry or the
@@ -773,7 +764,6 @@ def _subset_scan(length: int, caps: tuple[int, ...],
     starts at 2 with q in its shift.  Children past the last position are
     binned at once, not pushed.
     """
-    j = floors.index(max(floors)) + 1
     q = caps[j - 1]
     width = 2 * length + 1  # room for a direct sum of two positions
     low_bits = sum(((1 << (length + 1)) - 2) << (s * width) for s in range(q))

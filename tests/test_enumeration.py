@@ -88,6 +88,18 @@ def test_cell_words_match_walker():
                 assert q > 1 or len(want) == (j == length)
 
 
+def _cell(scan):
+    """``(q, j)`` when a plan is a cell: not MED, its maximum q pinned at
+    j, no cap above q before j or above q - 1 after it; else ``None``."""
+    length, caps, j, strict = scan
+    if strict or not 1 <= j <= length:
+        return None
+    q = caps[j - 1]
+    if max(caps[:j]) > q or max(caps[j:], default=0) > q - 1:
+        return None
+    return q, j
+
+
 def _counting(stream, pulled):
     """``stream``, adding each word it hands out to ``pulled[0]``."""
     for word in stream:
@@ -233,8 +245,7 @@ def test_signed_histogram_matches_brute():
                              product(range(1, q + 1), repeat=length)))
             exact = CountQuery(length=length, depth_exact=q)
             box = CountQuery(length=length, depth_max=q)
-            assert all(enumeration._closed_profile(scan) is not None
-                       for scan in enumeration._plans(exact))
+            assert all(_cell(scan) for scan in enumeration._plans(exact))
             contains = (q * (length + 1) - 3,)
             for query in (exact, replace(exact, stressed=True),
                           replace(exact, med=True),
@@ -255,23 +266,26 @@ def test_walker_matches_definition_on_small_scans():
     # depth q <= 6, plain, MED, and plain with one cap lowered as a
     # contains lowers it, walked (_fold, _words) against the definition:
     # the words of {1..q}^l between floors and caps that satisfy both
-    # inequality families, strictly for MED, in product order; lengths 1
-    # and 2, where the walker loops position 1 flat or not at all, included
+    # inequality families, strictly for MED, in product order, the floor
+    # 1 but at a cell's pin j, where it is the pinned cap; lengths 1 and 2,
+    # where the walker loops position 1 flat or not at all, included
     scans = leaves = 0
     for length in range(1, 6):
         for q in range(1, 7):
             words = list(product(range(1, q + 1), repeat=length))
             valid = ([w for w in words if is_kunz(w)],
                      [w for w in words if is_med(w)])
-            for base in [(length, (q,) * length, (1,) * length)] + [
+            for base in [(length, (q,) * length, 0)] + [
                     enumeration._frobenius_scan(length, q, j)[:3]
                     for j in range(1, length + 1)]:
-                _, caps, floors = base
+                _, caps, j = base
+                floors = tuple(caps[r] if r == j - 1 else 1
+                               for r in range(length))
                 forms = [(caps, 0), (caps, 1)] + [
                     (caps[:r] + (caps[r] - 1,) + caps[r + 1:], 0)
                     for r in range(length) if caps[r] > floors[r]]
                 for top, strict in forms:
-                    scan = (length, top, floors, strict)
+                    scan = (length, top, j, strict)
                     want = [w for w in valid[strict]
                             if all(map(le, floors, w)) and
                             all(map(le, w, top))]
@@ -292,13 +306,12 @@ def test_depth_bound_cells_match_walked_box():
     # closed cells for every depth up to q; the raw box, walked, shares no
     # code with their closed forms
     def box(length, q):
-        return length, (q,) * length, (1,) * length, 0
+        return length, (q,) * length, 0, 0
 
     pairs = [(length, q) for q in range(1, 6) for length in range(q + 1, 10)]
     for length, q in pairs + [(7, 6), (8, 6)]:
         query = CountQuery(length=length, depth_max=q)
-        assert all(enumeration._closed_profile(scan) is not None
-                   for scan in enumeration._plans(query))
+        assert all(_cell(scan) for scan in enumeration._plans(query))
         walked = enumeration._fold(box(length, q))
         assert genus_histogram(query) == {g: n for g, n in enumerate(walked)
                                           if n}
@@ -312,9 +325,8 @@ def test_depth_bound_cells_match_walked_box():
                                     (8, 4, 20, (4, 2, 4, 4, 4, 4, 4, 4)),
                                     (5, 4, 8, (4, 1, 4, 4, 4))):
         query = CountQuery(length=length, depth_max=q, contains=(member,))
-        assert all(enumeration._closed_profile(scan) is not None
-                   for scan in enumeration._plans(query))
-        walked = enumeration._fold((length, caps, (1,) * length, 0))
+        assert all(_cell(scan) for scan in enumeration._plans(query))
+        walked = enumeration._fold((length, caps, 0, 0))
         assert genus_histogram(query) == {g: n for g, n in enumerate(walked)
                                           if n}
     # a bound at the length or above, or MED, keeps the one box
@@ -324,7 +336,7 @@ def test_depth_bound_cells_match_walked_box():
                   CountQuery(length=7, depth_max=3, med=True)):
         (scan,) = enumeration._plans(query)
         assert scan[3] == int(query.med)
-        assert scan[2] == (1,) * query.length
+        assert scan[2] == 0
 
 
 def test_count_and_genus_consistency():
@@ -357,23 +369,35 @@ def test_threaded_counts_agree(threads, capsys):
 
 
 def test_plans_hold_only_scans_with_words():
-    # a cap below its floor leaves a scan without words: a q = 1 cell
-    # longer than f, or a cap that contains lowered below 1, or below q at
-    # the last q's position; no such scan is planned, walked or solved
+    # a scan keeps words only while every cap is at least 1 and a cell's
+    # pinned cap is still its q: a q = 1 cell longer than f (caps of 0), a
+    # cap that contains lowered below 1, or a pin it lowered below q leaves
+    # none; no such scan is planned, walked or solved
     med = CountQuery(frobenius=6, length=14, med=True)
     assert enumeration._plans(med) == []
     assert count_words(med) == 0
-    assert len(enumeration._plans(CountQuery(frobenius=22, contains=(6,)))) == 3
-    assert len(enumeration._plans(CountQuery(frobenius=30, contains=(7,)))) == 2
-    for query in (med, CountQuery(frobenius=6, length=14),
-                  CountQuery(frobenius=22, contains=(6,)),
-                  CountQuery(frobenius=30, contains=(7,)),
-                  CountQuery(frobenius=20, contains=(3, 11)),
+    lowered = CountQuery(frobenius=22, contains=(6,))
+    assert len(enumeration._cells(lowered)) == 4
+    assert len(enumeration._plans(lowered)) == 3
+    assert len(enumeration._plans(CountQuery(frobenius=30,
+                                             contains=(7,)))) == 2
+    # contains 3 keeps one cell, (2, 7, 2), and 11 lowers its pin to 3
+    pinned = CountQuery(frobenius=20, contains=(3, 11))
+    assert enumeration._cells(pinned) == [(2, 7, 2)]
+    assert enumeration._plans(pinned) == []
+    assert count_words(pinned) == 0
+    for query in (med, CountQuery(frobenius=6, length=14), lowered,
+                  CountQuery(frobenius=30, contains=(7,)), pinned,
                   CountQuery(frobenius=29, length=9, contains=(4,)),
                   CountQuery(length=6, depth_exact=3, contains=(5,)),
                   CountQuery(length=6, depth_max=3, contains=(2,))):
-        for _, caps, floors, _ in enumeration._plans(query):
-            assert all(cap >= floor for cap, floor in zip(caps, floors))
+        for length, caps, j, _ in enumeration._plans(query):
+            assert min(caps) >= 1
+            if query.frobenius is not None:
+                # the pin holds the q that f fixes at this length
+                q = -((query.frobenius + 1) // -(length + 1))
+                assert j and caps[j - 1] == q
+                assert query.frobenius == (length + 1) * (q - 1) + j
 
 
 def test_infinite_query_rejected():
@@ -424,7 +448,7 @@ def test_closed_genus_polynomials_match_walker():
               for length in range(1, 12) for j in range(1, length + 1)}
     closed = depth4 = deep = 0
     for scan in scans:
-        profile = enumeration._closed_profile(scan)
+        profile = _cell(scan)
         assert profile is not None  # no unfiltered Frobenius scan is walked
         closed += 1
         depth4 += profile[0] == 4
@@ -473,15 +497,18 @@ def test_subset_scan_matches_tuned_cases():
 
 def test_filtered_scans_keep_the_walker():
     # a cap that contains lowered keeps a closed form; MED strictness
-    # changes the scan, which only the walker answers
+    # changes the scan, which only the walker answers, as it answers a
+    # depth-bound box (no pin, j = 0)
     capped = enumeration._plans(CountQuery(frobenius=11, contains=(4,)))
-    profiles = [enumeration._closed_profile(scan) for scan in capped]
+    profiles = [_cell(scan) for scan in capped]
     assert None not in profiles
     assert any(scan != enumeration._frobenius_scan(scan[0], *profile)
                for scan, profile in zip(capped, profiles))
-    assert all(enumeration._closed_profile(scan) is None
+    assert all(enumeration._closed_form(scan) is None
                for scan in enumeration._plans(CountQuery(frobenius=11,
                                                          med=True)))
+    (box,) = enumeration._plans(CountQuery(length=4, depth_max=4))
+    assert box[2] == 0 and enumeration._closed_form(box) is None
 
 
 def test_capped_cells_match_walker():
@@ -492,7 +519,7 @@ def test_capped_cells_match_walker():
         for n in range(1, f + 3):
             for scan in enumeration._plans(CountQuery(frobenius=f,
                                                       contains=(n,))):
-                profile = enumeration._closed_profile(scan)
+                profile = _cell(scan)
                 assert profile is not None
                 assert _trimmed(enumeration._closed_form(scan)) == \
                     _trimmed(enumeration._fold(scan))
