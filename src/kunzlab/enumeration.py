@@ -184,16 +184,17 @@ def _plans(query: CountQuery) -> list[Scan]:
     ======  =====  =====  =====  =====  =====
     q \\ l   q-2    q-1    q      q+1    q+2
     ======  =====  =====  =====  =====  =====
-    4       0.12   0.11   0.23   0.42   0.99
-    5       0.09   0.14   0.37   0.82   2.05
-    6       0.15   0.30   0.55   0.84   0.97
-    7       0.26   0.42   0.76   0.73   0.88
-    8       0.32   0.50   0.53   0.61   0.79
+    4       0.18   0.17   0.30   0.60   1.23
+    5       0.12   0.28   0.47   0.97   1.85
+    6       0.21   0.43   0.73   1.06   1.49
+    7       0.33   0.54   0.76   0.90   1.23
+    8       0.42   0.53   0.71   0.78   0.93
     ======  =====  =====  =====  =====  =====
 
-    The box also wins at l = q + 1, and at l = q + 2 except q = 5, by less;
-    the rule still plans those lengths as cells (ROADMAP item 3 weighs
-    moving it against a subset scan that bins its last position).
+    The box also wins at l = q + 1 except q = 6, and at l = q + 2 only at
+    q = 8, by less; the rule still plans those lengths as cells (ROADMAP
+    item 3 weighs moving it against a subset scan that bins its last
+    position).
 
     The depth and stressed filters drop cells, ``contains`` lowers caps and
     MED makes every inequality strict.  A scan keeps words only while every
@@ -705,25 +706,24 @@ def _subset_scan(length: int, caps: tuple[int, ...],
     ``(length, caps, j, 0)``, ``_frobenius_scan(length, q, j)`` with any
     caps but the pinned one lowered, as by ``contains``.
 
-    The maximum q = caps[j-1] is pinned at position j; the caps are at
-    most q before j and at most q-1 after.
-    Call an entry *low* if it lies in 1..q-2 before j or in 1..q-3 after j;
-    the other values form one *big* slot, {q-1, q} before j and {b, q-1}
-    after j with b = max(q-2, 1).  Every inequality with a big entry or the
-    q at j among its summands holds: a big entry before j, and the q at j,
-    are at least q-1, and adding at least 1 reaches q; a big entry after j
-    is at least q-2 and its sums land after j, where the cap is q-1; a
-    wrapped sum adds 1 more.  A lowered cap only lowers the entry such a
-    sum must reach, so this holds under any caps.  So only low+low sums can
-    fail, onto a+b directly or onto a+b-length-1 wrapped with +1.  Let m(t)
-    be the least such sum onto position t (wrapped ones counted with their
-    +1):
+    The maximum q = caps[j-1] is pinned at position j; the caps are at most
+    q before j and at most q-1 after.  Call an entry *low* if it lies in
+    1..q-2 before j or in 1..q-3 after j; the other values form one *big*
+    slot, {q-1, q} before j and {b, q-1} after j with b = max(q-2, 1).
+    Every inequality with a big entry or the q at j among its summands
+    holds: a big entry before j, and the q at j, are at least q-1, and
+    adding at least 1 reaches q; a big entry after j is at least q-2 and
+    its sums land after j, where the cap is q-1; a wrapped sum adds 1 more.
+    A lowered cap only lowers the entry such a sum must reach, so this
+    holds under any caps.  So only low+low sums can fail, onto a+b directly
+    or onto a+b-length-1 wrapped with +1.  Let n(t) be the least such sum
+    onto position t (wrapped ones counted with their +1):
 
-    * a low entry at t may not exceed m(t);
-    * a big slot at t is barred when m(t) is below its least value (q-1
-      before j, b after), forced to that value when m(t) equals it, and
+    * a low entry at t may not exceed n(t);
+    * a big slot at t is barred when n(t) is below its least value (q-1
+      before j, b after), forced to that value when n(t) equals it, and
       free over its two values otherwise;
-    * j itself needs m(j) >= q.
+    * j itself needs n(j) >= q.
 
     A cap c at t below the slot's top (q before j, q-1 after) changes the
     choices there: at the slot's least value it forces the slot, which keeps
@@ -745,57 +745,60 @@ def _subset_scan(length: int, caps: tuple[int, ...],
     the tuned special case of these rules; every other cell of depth q >= 3
     runs here.
 
-    Sums are kept by level in one integer: field s, ``width`` bits wide,
-    holds at bit t the positions t that receive a low+low sum of exactly s;
-    levels of q and above never fail and are dropped.  ``values`` holds at
-    field v the positions of the low entries equal to v, so shifting it by a
-    new position p and its value v gives every sum with p at once; its bits
-    above length+1 are the wrapped sums, moved one level up.  ``need`` holds
-    at field s the positions that a sum of level s would break: the placed
-    ones, and j from the start, so a prefix that breaks j dies at once.
+    Sums are kept by level in one integer of m-bit fields, m = ``width`` =
+    length+1: field i holds at bit t the positions t that receive a low+low
+    sum of level i+2 (none is below 2), and ``keep`` drops the levels of q
+    and above, which never fail.  ``values`` holds at field v-1 the
+    positions of the low entries equal to v, so shifting it by p + (v-1)*m,
+    for a new position p of value v, gives every sum with p at once: with a
+    placed position s, a direct sum onto s+p <= length stays in its field,
+    and a wrapped one carries into the next field at bit s+p-m, its target
+    one level up, so the wrapped +1 needs no code.  A sum with s+p = m
+    lands on bit 0 of a field >= 1, residue 0, which no mask reads.
+    ``need`` holds at field i the positions a sum of level i+2 would break:
+    the placed ones, and j from the start, so a prefix that breaks j dies
+    at once.
 
     The masks and shifts of each position are built once, in ``table``: for
     p other than j, its big slot's bar mask, free bit (0 when a cap forces
     the slot) and least value, the next position, and its low values as
-    (bar mask, ``values`` bit, sums shift, value).  ``sums`` carries bit 0,
-    which no position uses, so the bar mask 1 bars a slot that a cap
-    dropped.  Position j is no node: the position before it steps straight
-    to j+1, with j's q added to its stored values, and with j = 1 the scan
-    starts at 2 with q in its shift.  Children past the last position are
-    binned at once, not pushed.
+    (bar mask, ``values`` bit, sums shift, value); ``below(p, r)`` is 0 for
+    r <= 2.  ``sums`` carries bit 0 of field 0, which no sum reaches, so
+    the bar mask 1 bars a slot that a cap dropped.  At q = 3 the slot after
+    j starts at 1, which no sum reaches either: its force mask is 0, not a
+    negative shift.  Position j is no node: the position before it steps to
+    j+1 with j's q in its stored values, and with j = 1 the scan starts at
+    2 with q in its shift.  Children past the last position are binned at
+    once, not pushed.
     """
     q = caps[j - 1]
-    width = 2 * length + 1  # room for a direct sum of two positions
-    low_bits = sum(((1 << (length + 1)) - 2) << (s * width) for s in range(q))
-    wrap_bits = sum(((1 << (2 * length + 1)) - (1 << (length + 2)))
-                    << (s * width) for s in range(q - 1))
+    width = length + 1  # m bits: a sum past the length carries
+    keep = (1 << ((q - 2) * width)) - 1  # the fields of levels 2 .. q-1
     before = (1 << j) - 2  # bits 1 .. j-1
-    after = (1 << (length + 1)) - (1 << (j + 1))  # bits j+1 .. length
-    big_before, big_after = q - 1, max(q - 2, 1)
-    force_before, force_after = big_before * width, big_after * width
+    after = (1 << width) - (1 << (j + 1)) if q > 3 else 0  # bits j+1 .. length
+    force_before, force_after = (q - 3) * width, max(q - 4, 0) * width
 
     def below(p: int, r: int) -> int:
-        """Bit p in the fields of the levels below r: a base-2^width
-        repunit, shifted."""
-        return ((1 << (r * width)) - 1) // ((1 << width) - 1) << p
+        """Bit p in the fields of the levels below r: a repunit, shifted."""
+        return ((1 << (max(r - 2, 0) * width)) - 1) // ((1 << width) - 1) << p
 
     table: list = [None] * (length + 1)
     for p in range(1, length + 1):
         if p != j:
-            least, top = (big_before, q - 2) if p < j else (big_after, q - 3)
+            least, top = (q - 1, q - 2) if p < j else (max(q - 2, 1), q - 3)
             cap = caps[p - 1]
             skip = q if p + 1 == j else 0
             table[p] = (below(p, least) if cap >= least else 1,
                         1 << p if cap > least else 0, least + skip,
                         p + 2 if skip else p + 1,
-                        [(below(p, v), 1 << (v * width + p), p + v * width,
-                          v + skip) for v in range(1, min(top, cap) + 1)])
+                        [(below(p, v), 1 << ((v - 1) * width + p),
+                          p + (v - 1) * width, v + skip)
+                         for v in range(1, min(top, cap) + 1)])
     start = 2 if j == 1 else 1
     if start > length:
         return _expand({(q, 0): 1})  # the word (q)
     bins: dict[tuple[int, int], int] = {}
-    # stack entries: (next position, values, sums, need, big slots, shift);
-    # sums starts with bit 0, which bars every slot a cap dropped
+    # stack entries: (next position, values, sums, need, big slots, shift)
     stack = [(start, 0, 1, below(j, q), 0, q if j == 1 else 0)]
     while stack:
         p, values, sums, need, bigs, shift = stack.pop()
@@ -808,8 +811,7 @@ def _subset_scan(length: int, caps: tuple[int, ...],
                 if sums & low_bar:
                     break  # a larger low value is barred too
                 new_values = values | low_bit
-                new = new_values << low_shift
-                new = new & low_bits | (new & wrap_bits) << length
+                new = new_values << low_shift & keep
                 if not new & need:
                     stack.append((nxt, new_values, sums | new,
                                   need | low_bar, bigs, shift + v))
@@ -825,7 +827,6 @@ def _subset_scan(length: int, caps: tuple[int, ...],
             if sums & low_bar:
                 break
             new = (values | low_bit) << low_shift
-            new = new & low_bits | (new & wrap_bits) << length
             if not new & need:
                 new |= sums
                 forced = ((new >> force_before) & bigs & before

@@ -530,6 +530,29 @@ def test_capped_cells_match_walker():
     assert capped > 1000
 
 
+def test_deep_cells_match_walker():
+    # cells far deeper than they are long, where many low+low sums carry
+    # past level q-1 and are dropped: each uncapped, and with one cap
+    # lowered to the slot's least value (forcing it), just below that (the
+    # slot dropped, every low value kept), halfway, and to 1
+    scans = set()
+    for length in range(1, 6):
+        for q in (3, 4, 5, 7, 12) + ((40,) if length < 5 else ()):
+            for j in range(1, length + 1):
+                scan = enumeration._frobenius_scan(length, q, j)
+                scans.add(scan)
+                caps = scan[1]
+                for p, top in enumerate(caps):
+                    for cap in {top - 1, top - 2, (top + 1) // 2, 1}:
+                        if p != j - 1 and 1 <= cap < top:
+                            lowered = caps[:p] + (cap,) + caps[p + 1:]
+                            scans.add((length, lowered, j, 0))
+    for scan in scans:
+        assert _trimmed(enumeration._closed_form(scan)) == \
+            _trimmed(enumeration._fold(scan))
+    assert len(scans) == 765
+
+
 def test_empty_depth1_scan_counts_zero():
     # f = 6 with length 14: depth 1 with its last 1 at position 6 < 14, so
     # positions 7..14 are capped at 0 and the scan holds no words

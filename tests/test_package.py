@@ -62,7 +62,9 @@ def test_query_echo_keeps_field_order():
 
 def test_import_leaves_multiprocessing_unloaded():
     # a fresh interpreter, since a pytest plugin may have loaded the module
-    # here; multiprocessing is imported only when a pool opens
+    # here; importing the package and the CLI must not pull in
+    # multiprocessing, which no kunzlab code uses, so a command pays for
+    # no module it does not run
     src = str(Path(kunzlab.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import kunzlab, kunzlab.cli, kunzlab.verify; "
