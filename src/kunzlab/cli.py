@@ -28,10 +28,6 @@ from . import stats as stats_mod
 from .words import CountQuery
 
 
-class _Usage(Exception):
-    """A bad flag combination, reported on stderr with exit code 2."""
-
-
 # the most rows `plot growth` prints; more are refused before any output
 _GROWTH_ROWS_MAX = 100_000
 
@@ -147,11 +143,11 @@ def _build_query(args) -> CountQuery:
     length = None
     if args.m is not None:
         if args.m < 2:
-            raise _Usage("--m must be at least 2")
+            raise ValueError("--m must be at least 2")
         length = args.m - 1
     if args.ell is not None:
         if length is not None and length != args.ell:
-            raise _Usage(f"--m {args.m} and --ell {args.ell} disagree")
+            raise ValueError(f"--m {args.m} and --ell {args.ell} disagree")
         length = args.ell
     contains = () if args.contains is None else (args.contains,)
     query = CountQuery(frobenius=args.f, length=length,
@@ -159,8 +155,8 @@ def _build_query(args) -> CountQuery:
                        stressed=args.stressed, med=args.med,
                        contains=contains)
     if not query.is_finite:
-        raise _Usage("the query selects infinitely many words; "
-                     "give --f, or a length with a depth bound")
+        raise ValueError("the query selects infinitely many words; "
+                         "give --f, or a length with a depth bound")
     return query
 
 
@@ -174,9 +170,14 @@ def _query_echo(query: CountQuery) -> dict:
     return echo
 
 
-def _fraction_payload(value: Fraction | int) -> tuple[int, int]:
-    frac = Fraction(value)
-    return frac.numerator, frac.denominator
+def _exact_fields(**values: Fraction | int) -> dict:
+    """``{name}_num`` and ``{name}_den`` of each exact value, in order."""
+    fields = {}
+    for name, value in values.items():
+        frac = Fraction(value)
+        fields[f"{name}_num"] = frac.numerator
+        fields[f"{name}_den"] = frac.denominator
+    return fields
 
 
 def _emit_json(payload: dict, out) -> None:
@@ -275,27 +276,21 @@ def _cmd_constants(args, out, err) -> int:
                                          table1=table1)
     if args.which in ("mu0", "mu1", "gamma0", "gamma1"):
         bracket = stats_mod.mu_gamma_partial(args.which, args.k_cut, bracket)
-    lower_num, lower_den = _fraction_payload(bracket.lower)
-    upper_num, upper_den = _fraction_payload(bracket.upper)
     decimal_lower, decimal_upper = bracket.decimal(4)
-    _emit_json({
-        "lower_num": lower_num,
-        "lower_den": lower_den,
-        "upper_num": upper_num,
-        "upper_den": upper_den,
-        "decimal_lower": decimal_lower,
-        "decimal_upper": decimal_upper,
-    }, out)
+    _emit_json({**_exact_fields(lower=bracket.lower, upper=bracket.upper),
+                "decimal_lower": decimal_lower,
+                "decimal_upper": decimal_upper}, out)
     return 0
 
 
 def _cmd_dist(args, out, err) -> int:
     if args.f < 3:
-        raise _Usage("--f must be at least 3")
+        raise ValueError("--f must be at least 3")
     if args.which == "mult":
         dist = stats_mod.mult_distribution(args.f)
     else:
-        dist = stats_mod.genus_stats(args.f).distribution
+        dist = stats_mod.Distribution.from_counts(
+            eng.genus_histogram(CountQuery(frobenius=args.f)))
     total = dist.total
     print("key,count,probability_num,probability_den", file=out)
     for key, count in dist.pairs:
@@ -306,12 +301,12 @@ def _cmd_dist(args, out, err) -> int:
 
 def _cmd_hom(args, out, err) -> int:
     if (args.d is None) == (args.graph is None):
-        raise _Usage("give exactly one of --d or --graph")
+        raise ValueError("give exactly one of --d or --graph")
     if args.q < 1:
-        raise _Usage("--q must be positive")
+        raise ValueError("--q must be positive")
     if args.d is not None:
         if args.d < 1:
-            raise _Usage("--d must be positive")
+            raise ValueError("--d must be positive")
         count = gr.hom_kdd(args.d, args.q)
         _emit_json({"d": args.d, "q": args.q, "count": count}, out)
         return 0
@@ -332,49 +327,40 @@ def _cmd_bounds(args, out, err) -> int:
         return 0 if report.ok else 1
     if args.stressed:
         if args.ell is None:
-            raise _Usage("--stressed needs --ell")
+            raise ValueError("--stressed needs --ell")
         naive, refined = bounds_mod.stressed3_upper_bounds(args.ell)
-        naive_num, naive_den = _fraction_payload(naive)
-        refined_num, refined_den = _fraction_payload(refined)
         _emit_json({"ell": args.ell,
-                    "naive_num": naive_num, "naive_den": naive_den,
-                    "refined_num": refined_num, "refined_den": refined_den},
-                   out)
+                    **_exact_fields(naive=naive, refined=refined)}, out)
         return 0
     if args.tail_width is not None:
         if args.ell is None or args.depth is None:
-            raise _Usage("--tail-width needs --ell and --depth")
+            raise ValueError("--tail-width needs --ell and --depth")
         bound = bounds_mod.tail_heavy_bound(args.ell, args.tail_width,
                                             args.depth)
-        num, den = _fraction_payload(bound)
         _emit_json({"ell": args.ell, "tail_width": args.tail_width,
-                    "depth": args.depth, "lower_num": num, "lower_den": den},
-                   out)
+                    "depth": args.depth, **_exact_fields(lower=bound)}, out)
         return 0
     if args.f is not None and args.q is not None:
         generic = bounds_mod.generic_bounds(args.f, args.q)
-        depth_num, depth_den = _fraction_payload(generic.depth_power)
-        frob_num, frob_den = _fraction_payload(generic.frobenius_power)
-        _emit_json({"f": args.f, "q": args.q,
-                    "depth_power_num": depth_num,
-                    "depth_power_den": depth_den,
-                    "frobenius_power_num": frob_num,
-                    "frobenius_power_den": frob_den}, out)
+        _emit_json({"f": args.f, "q": args.q, **_exact_fields(
+            depth_power=generic.depth_power,
+            frobenius_power=generic.frobenius_power)}, out)
         return 0
-    raise _Usage("give --monotone, --stressed --ell, "
-                 "--tail-width --ell --depth, or --f --q")
+    raise ValueError("give --monotone, --stressed --ell, "
+                     "--tail-width --ell --depth, or --f --q")
 
 
 def _cmd_plot(args, out, err) -> int:
     if args.which == "growth":
         if args.x_max < 1.0 or args.step <= 0.0:
-            raise _Usage("--x-max must be >= 1 and --step positive")
+            raise ValueError("--x-max must be >= 1 and --step positive")
         # the rows are x = 1 + k*step for k = 0, 1, ... until x > x_max + 1e-9;
         # x grows with k, so count down from a guess at or above the rows
         limit = args.x_max + 1e-9
         guess = (limit - 1.0) / args.step
         if not guess < _GROWTH_ROWS_MAX:  # also an overflow to inf, or nan
-            raise _Usage(f"plot growth prints at most {_GROWTH_ROWS_MAX} rows")
+            raise ValueError(
+                f"plot growth prints at most {_GROWTH_ROWS_MAX} rows")
         rows = int(guess) + 2
         while 1.0 + (rows - 1) * args.step > limit:
             rows -= 1
@@ -427,11 +413,9 @@ def main(argv=None) -> int:
         with contextlib.suppress(OSError):
             out.close()
         return 141
-    except _Usage as exc:
-        print(f"kunzlab: {exc}", file=err)
-        return 2
     except (ValueError, OSError, OverflowError) as exc:
-        # an overflow comes from a flag too large to compute with
+        # a usage error is a ValueError; an overflow comes from a flag too
+        # large to compute with
         print(f"kunzlab: {exc}", file=err)
         return 2
     except ArithmeticError as exc:

@@ -60,10 +60,15 @@ pieces below it, and the buffers of all the streams together hold one
 walker alone: it is the oracle the closed forms and the lift are checked
 against.
 
-The other counters (:func:`count_stressed3`, :func:`closed_k2`,
-:func:`closed_k3`, :func:`count_depth_le3`, :func:`tail_heavy_count`,
-:func:`med_count`, :func:`lower_bound_family`) exploit structure specific to
-small depth and are feasible far beyond the generic search.
+The small-depth counters :func:`closed_k2`, :func:`closed_k3` and
+:func:`count_depth_le3`, over :func:`count_stressed3` (S_j summed), are
+the paper's explicit formulas.  The engine closes every cell of depth at
+most 3 too, and criterion 4 checks :func:`closed_k2` and :func:`closed_k3`
+against the walker; the formulas stay because, given S_j, they are O(1) in
+f, where :func:`count_words` expands each cell's genus polynomial (one
+binomial per free position) only to sum it.  :func:`tail_heavy_count`,
+:func:`med_count` and :func:`lower_bound_family` serve the paper's bounds
+and the MED cross-check.
 """
 
 from __future__ import annotations
@@ -195,6 +200,14 @@ def _plans(query: CountQuery) -> list[Scan]:
     q = 8, by less; the rule still plans those lengths as cells (ROADMAP
     item 3 weighs moving it against a subset scan that bins its last
     position).
+
+    A MED box wins at every length measured, since strict cells are walked
+    too: strict box time over strict cells time, each by :func:`_fold`, best
+    of 3, same host, was 0.19-0.32 for q = 3..6 and l = q-1..q+4 (0.59 at
+    (2, 3), of times under 0.1 ms); at (l, q) = (10, 6) the box took 0.29 s
+    and the cells 1.01 s.  MED counts take the lift instead
+    (:func:`_med_via_membership`), so the MED box serves enumeration and
+    :func:`_walked_histogram`.
 
     The depth and stressed filters drop cells, ``contains`` lowers caps and
     MED makes every inequality strict.  A scan keeps words only while every

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: payload shapes, exit codes, and determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from kunzlab import cli, graphs
 from kunzlab.enumeration import enumerate_words
 from kunzlab.graphs import LabeledGraph, graph_to_text
-from kunzlab.stats import backelin_bracket, mu_gamma_partial
+from kunzlab.stats import backelin_bracket, genus_stats, mu_gamma_partial
 
 
 def run(capsys, *argv):
@@ -179,6 +180,14 @@ def test_dist_genus_f5(capsys):
     assert code == 0
     assert out == ("key,count,probability_num,probability_den\n"
                    "3,2,2,5\n4,2,2,5\n5,1,1,5\n")
+    # every F up to 25: the rows of the library's genus distribution
+    for f in range(3, 26):
+        code, out, _ = run(capsys, "dist", "genus", "--f", str(f))
+        dist = genus_stats(f).distribution
+        assert code == 0
+        assert out == "key,count,probability_num,probability_den\n" + "".join(
+            f"{key},{dist.count(key)},{p.numerator},{p.denominator}\n"
+            for key, p in dist.probabilities().items())
 
 
 def test_dist_mult_f12(capsys):
@@ -249,22 +258,30 @@ def test_hom_graph_refuses_a_large_count_before_building(capsys, tmp_path,
 def test_bounds_stressed(capsys):
     code, out, _ = run(capsys, "bounds", "--stressed", "--ell", "9")
     assert code == 0
-    assert json.loads(out) == {"ell": 9, "naive_num": 4096, "naive_den": 1,
-                               "refined_num": 234256, "refined_den": 81}
+    payload = json.loads(out)
+    assert list(payload) == ["ell", "naive_num", "naive_den", "refined_num",
+                             "refined_den"]
+    assert payload == {"ell": 9, "naive_num": 4096, "naive_den": 1,
+                       "refined_num": 234256, "refined_den": 81}
 
 
 def test_bounds_tail(capsys):
     code, out, _ = run(capsys, "bounds", "--tail-width", "1", "--ell", "1",
                        "--depth", "2")
     assert code == 0
-    assert json.loads(out) == {"ell": 1, "tail_width": 1, "depth": 2,
-                               "lower_num": 8192, "lower_den": 1}
+    payload = json.loads(out)
+    assert list(payload) == ["ell", "tail_width", "depth", "lower_num",
+                             "lower_den"]
+    assert payload == {"ell": 1, "tail_width": 1, "depth": 2,
+                       "lower_num": 8192, "lower_den": 1}
 
 
 def test_bounds_generic(capsys):
     code, out, _ = run(capsys, "bounds", "--f", "6", "--q", "3")
     assert code == 0
     payload = json.loads(out)
+    assert list(payload) == ["f", "q", "depth_power_num", "depth_power_den",
+                             "frobenius_power_num", "frobenius_power_den"]
     assert payload["depth_power_num"] == 729
     assert payload["frobenius_power_num"] == 162
     assert payload["frobenius_power_den"] == 1
@@ -448,6 +465,94 @@ class TestExitCodes:
             assert code == 2
             assert out == ""
             assert "verification failure" not in err
+
+
+# SHA-256 (first 16 hex digits) of each argv's exit code, stdout and stderr
+# less its elapsed= line, recorded before the front end's exact values went
+# through one serializer: one argv per entry point and usage message, with
+# "{tmp}" for a temporary directory holding the files the argvs read.  A
+# change to the output on purpose records new digests and says so.
+IDENTITY_DIGESTS = {
+    "count --f 20": "7d3380b275e0c944",
+    "count --f 20 --format csv": "56ac0d173fd3d4a2",
+    "count --f 24 --med": "4e8cb42d3f1acabd",
+    "count --f 20 --contains 7": "e7e9d12c85c8c5e1",
+    "count --ell 5 --depth-max 6": "91d8834367f5ac3f",
+    "count --ell 7 --depth 3": "a6e348b5bcec34e7",
+    "count --f 29 --m 10": "9c79eacc1c70ad48",
+    "enumerate --f 12": "209b9137160fa726",
+    "enumerate --f 12 --format csv": "e2ef4a2d846f9647",
+    "enumerate --f 511 --m 2": "09e7db93ce423916",
+    "dist genus --f 20": "74a79bfece518a64",
+    "dist mult --f 20": "45b55c6ce44c31cf",
+    "table stressed3": "f4eccbfc2ab93d91",
+    "table fm": "c7fe4031395382d0",
+    "constants --which c0": "d94ee824076b94a0",
+    "constants --which c1": "43cb32e630c2e4d7",
+    "constants --which mu0": "6721847208b37b43",
+    "constants --which gamma1": "6682436f6de8496d",
+    "hom --d 2 --q 3": "1897b852052369ec",
+    "hom --graph {tmp}/path3.txt --q 3": "4fcc4614ec74fa20",
+    "bounds --monotone --q-max 200": "8d254a1f4f939214",
+    "bounds --stressed --ell 9": "ed5f4aa3defd0e0f",
+    "bounds --tail-width 1 --ell 1 --depth 2": "78fd11d95b61e041",
+    "bounds --f 6 --q 3": "8fbd9656903ac78e",
+    "plot growth": "ed1d03ce667f131a",
+    "plot table1-ratio": "81b2da0f4c41d78e",
+    "plot fm-scatter --m 10": "326c3071d93178c1",
+    "plot fm-scatter": "2c845a6c75bb9a97",
+    # usage errors
+    "bogus": "8ebd71091e731f19",
+    "count --f 9 --m 1": "56a651aef393c971",
+    "count --f 9 --m 10 --ell 4": "50dfe33cfee6128e",
+    "count --ell 4": "c4e9f47cf1241a79",
+    "enumerate --ell 4": "c4e9f47cf1241a79",
+    "enumerate --ell 4 --format csv": "c4e9f47cf1241a79",
+    "hom --q 3": "700853c3a4d56937",
+    "hom --q 3 --d 1 --graph x.txt": "700853c3a4d56937",
+    "hom --q 0 --d 1": "2981cc77ae571d48",
+    "hom --q 3 --d 0": "6db24d6b819b7ab1",
+    "hom --graph {tmp}/bad.txt --q 3": "c1e0b6b9feb8b2a8",
+    "hom --graph {tmp}/big.txt --q 3": "3b64db4c001b3522",
+    "bounds": "80ce0c0e77042f1e",
+    "bounds --stressed": "9c11aa7ad2107551",
+    "bounds --tail-width 1 --ell 1": "45a12d5dcdc008f7",
+    "bounds --tail-width 5 --ell 2 --depth 3": "e14082cf44eff9c1",
+    "bounds --tail-width 1 --ell 2 --depth 1": "da10a4a968f44f08",
+    "dist mult --f 2": "fe8390b172fc0d4f",
+    "dist genus --f 2": "fe8390b172fc0d4f",
+    "count --f 9 --threads 0": "08ca76711326f89a",
+    "dist genus --f 20 --threads 0": "05cc083c0fb4815e",
+    "--ref-data /nonexistent-dir table stressed3": "6d0535dcde99107c",
+    "--ref-data {tmp}/cols table stressed3": "d9b30e9a96c74d26",
+    "--ref-data {tmp}/cols constants --which c0": "d9b30e9a96c74d26",
+    "--ref-data {tmp}/cols plot fm-scatter": "07e6eeb3bef47a20",
+    "plot growth --x-max 0.5": "b209a1d32f7556e4",
+    "plot growth --x-max 1e200 --step 1e199": "6df885d063e71506",
+    "plot growth --x-max 1e9 --step 1e-6": "3aac405710a4e706",
+}
+
+
+def test_output_bytes_match_recorded_digests(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("KUNZLAB_REF_DATA", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to it
+    (tmp_path / "path3.txt").write_text(
+        graph_to_text(LabeledGraph(3, [(1, 2), (2, 3)])), encoding="utf-8")
+    (tmp_path / "bad.txt").write_text("# vertices: 3\n1 2\n2 3 1\n",
+                                      encoding="utf-8")
+    (tmp_path / "big.txt").write_text(
+        graph_to_text(LabeledGraph(13, [(1, 2)])), encoding="utf-8")
+    (tmp_path / "cols").mkdir()
+    for name in ("table1.csv", "table2.csv"):
+        (tmp_path / "cols" / name).write_text("a,b\n1,2\n", encoding="utf-8")
+    digests = {}
+    for argv in IDENTITY_DIGESTS:
+        code, out, err = run(capsys, *argv.format(tmp=tmp_path).split())
+        err = re.sub(r"^elapsed=\d+\.\d{3}s\n", "", err, flags=re.M)
+        err = err.replace(str(tmp_path), "{tmp}")
+        text = repr((code, out, err)).encode()
+        digests[argv] = hashlib.sha256(text).hexdigest()[:16]
+    assert digests == IDENTITY_DIGESTS
 
 
 def test_python_dash_m_runs_the_cli(capsys):
