@@ -234,7 +234,7 @@ def _cmd_enumerate(args, out, err) -> int:
     ``json.dumps`` of the whole payload (or of one CSV row per word).
 
     The blocks come from :func:`kunzlab.enumeration._word_blocks`, whose
-    buffers hold one 4096-word batch in all, and are encoded whole by
+    buffers hold one 16,384-word batch in all, and are encoded whole by
     :func:`_block_text`.
     """
     query = _build_query(args)

@@ -42,10 +42,11 @@ without a product structure.  It keeps for each position the interval of
 values the defining inequalities allow against the prefix chosen so far,
 and hands each leaf to its caller as a whole value range of the final
 position; :func:`_fold` turns those ranges into a genus histogram.  The
-final position's cap and floor are carried down the prefix as two running
-aggregates, each refreshed in O(1) when a position is set, so the
-position before it is looped flat and each leaf costs O(1), not a pass
-over the word.
+caps and floors of the last two positions are carried down the prefix as
+running aggregates, each refreshed in O(1) when a position is set, so the
+position before the last reads its interval in O(1) and is looped flat,
+and each leaf costs O(1), not a pass over the word; only the positions
+below those two pay a pass over the prefix.
 Enumeration splits as the counts do (:func:`_cell_words`): a closed cell of
 depth at most 3 with no lowered cap yields its words from the product its
 closed form describes (a free {1,2} head at q = 2; the stressed depth-3
@@ -56,7 +57,7 @@ a cap of 256 or more packs every key as a tuple instead.  The cell streams
 are merged a block at a time (:func:`_merge_blocks`), not a word at a time:
 the least last key of their buffers bounds a block, one C sort merges the
 pieces below it, and the buffers of all the streams together hold one
-4096-word batch.  :func:`_walked_histogram` folds every scan through the
+16,384-word batch.  :func:`_walked_histogram` folds every scan through the
 walker alone: it is the oracle the closed forms and the lift are checked
 against.
 
@@ -110,8 +111,12 @@ __all__ = [
 # _plans drops such a cell.
 Scan = tuple[int, tuple[int, ...], int, int]
 
-# words an enumeration holds at once, over all its plans' streams together
-_BATCH = 4096
+# words an enumeration holds at once, over all its plans' streams together.
+# A larger batch means fewer, larger blocks, each paying one bisect_right per
+# stream.  The eight ops of perfbench's dist-enum, in one process, best of 10
+# on a 2-core x86-64 host: 59.1-61.6 ms at 4096, 51.1-54.3 ms at 16,384 and
+# 50.6-52.8 ms at 65,536, which holds four times the words for a point or two
+_BATCH = 16384
 
 
 # ---------------------------------------------------------------------------
@@ -184,22 +189,22 @@ def _plans(query: CountQuery) -> list[Scan]:
     cell cost about the same, but the box shares each prefix among all its
     q*length cells and hands the last position over as one value range,
     which beats the cells at every l <= q.  Box time over cells time,
-    serial, best of 3 (one run at l >= 9) on a 2-core x86-64 host:
+    serial, best of 5 (one run at l >= 9), the mean of two rounds, on a
+    2-core x86-64 host:
 
     ======  =====  =====  =====  =====  =====
     q \\ l   q-2    q-1    q      q+1    q+2
     ======  =====  =====  =====  =====  =====
-    4       0.18   0.17   0.30   0.60   1.23
-    5       0.12   0.28   0.47   0.97   1.85
-    6       0.21   0.43   0.73   1.06   1.49
-    7       0.33   0.54   0.76   0.90   1.23
-    8       0.42   0.53   0.71   0.78   0.93
+    4       0.12   0.17   0.30   0.57   1.08
+    5       0.11   0.23   0.43   0.77   1.20
+    6       0.18   0.35   0.59   0.78   1.05
+    7       0.29   0.43   0.55   0.70   0.80
+    8       0.34   0.38   0.49   0.53   0.58
     ======  =====  =====  =====  =====  =====
 
-    The box also wins at l = q + 1 except q = 6, and at l = q + 2 only at
-    q = 8, by less; the rule still plans those lengths as cells (ROADMAP
-    item 3 weighs moving it against a subset scan that bins its last
-    position).
+    The box also wins at every l = q + 1, and at l = q + 2 for q = 7 and
+    8; the rule still plans those lengths as cells (ROADMAP item 3 weighs
+    moving it against a subset scan that bins its last position).
 
     A MED box wins at every length measured, since strict cells are walked
     too: strict box time over strict cells time, each by :func:`_fold`, best
@@ -254,14 +259,18 @@ def _walk(scan: Scan):
     lexicographic order.  ``w`` is reused, so read it before asking for the
     next leaf.
 
-    Each position's interval comes from the inequalities against the prefix
-    set so far.  The last position L's terms are carried down the prefix
-    instead: ``hi[k]`` and ``lo[k]`` are its cap and floor from the terms
-    that positions 1..k complete, the pair (L-k, k) once 2k >= L and the
-    wrapped difference w[k-1] - w[k], each refreshed in O(1) when position
-    k is set or incremented.  Position L-1 is then looped flat: for each of
-    its values v only the pair (1, L-1), w[L-2] - v and the self pair of L
-    remain, so neither L-1 nor L is pushed or backed out of.
+    Each position below L-1 has its interval from a pass over the
+    inequalities against the prefix set so far.  The last two positions'
+    terms are carried down the prefix instead, each refreshed in O(1) when
+    position k is set or incremented.  ``hi[k]`` and ``lo[k]`` are the last
+    position L's cap and floor from the terms that positions 1..k complete:
+    the pair (L-k, k) once 2k >= L and the wrapped difference w[k-1] - w[k].
+    ``hi1[k]`` and ``lo1[k]`` are position L-1's: the pair (L-1-k, k) once
+    2k >= L-1, the wrapped difference w[k-2] - w[k] once k >= 3, and at
+    k = L-3 the self pair of L-1, which wraps onto L-3.  Position L-1 reads
+    its interval from them and is looped flat: for each of its values v
+    only the pair (1, L-1), w[L-2] - v and the self pair of L remain, so
+    neither L-1 nor L is pushed or backed out of.
     """
     length, caps, j, strict = scan
     floors = [1] * length
@@ -276,26 +285,31 @@ def _walk(scan: Scan):
         return
     hi = [caps[last]] * last
     lo = [floors[last]] * last
+    hi1 = [caps[last - 1]] * last  # position L-1's, as hi and lo are L's
+    lo1 = [floors[last - 1]] * last
     top = [0] * last  # the largest value allowed at each set position
     gsum = 0
     p = 1
     while True:
-        ub = caps[p - 1]
-        for i in range(1, p // 2 + 1):
-            cand = w[i] + w[p - i] - strict
-            if cand < ub:
-                ub = cand
-        lb = floors[p - 1]
-        for i in range(max(1, length + 2 - p), p):
-            cand = w[i + p - length - 1] - w[i] - comp
-            if cand > lb:
-                lb = cand
-        if 2 * p >= length + 2:
-            # the pair (p, p) wraps onto position 2p - length - 1, so
-            # 2 * w[p] >= w[2p - length - 1] - comp; floors keep lb >= 1
-            cand = (w[2 * p - length - 1] - comp + 1) // 2
-            if cand > lb:
-                lb = cand
+        if p < last:
+            ub = caps[p - 1]
+            for i in range(1, p // 2 + 1):
+                cand = w[i] + w[p - i] - strict
+                if cand < ub:
+                    ub = cand
+            lb = floors[p - 1]
+            for i in range(max(1, length + 2 - p), p):
+                cand = w[i + p - length - 1] - w[i] - comp
+                if cand > lb:
+                    lb = cand
+            if 2 * p >= length + 2:
+                # the pair (p, p) wraps onto position 2p - length - 1, so
+                # 2 * w[p] >= w[2p - length - 1] - comp; floors keep lb >= 1
+                cand = (w[2 * p - length - 1] - comp + 1) // 2
+                if cand > lb:
+                    lb = cand
+        else:
+            ub, lb = hi1[p - 1], lo1[p - 1]
         if lb <= ub and p < last:
             w[p] = lb
             top[p] = ub
@@ -337,6 +351,22 @@ def _walk(scan: Scan):
         if cand > floor:
             floor = cand
         hi[p], lo[p] = cap, floor
+        cap, floor = hi1[p - 1], lo1[p - 1]
+        if 2 * p >= last:
+            cand = w[last - p] + w[p] - strict
+            if cand < cap:
+                cap = cand
+        if p >= 3:
+            # the pair (p, L-1) wraps onto position p - 2
+            cand = w[p - 2] - w[p] - comp
+            if cand > floor:
+                floor = cand
+        if p == last - 2:
+            # the pair (L-1, L-1) wraps onto position L-3 = p
+            cand = (w[p] - comp + 1) // 2
+            if cand > floor:
+                floor = cand
+        hi1[p], lo1[p] = cap, floor
         p += 1
 
 

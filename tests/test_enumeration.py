@@ -142,8 +142,8 @@ MERGED_QUERIES = [CountQuery(frobenius=f) for f in range(31)] + [
 
 def test_word_blocks_match_sorted_cells(monkeypatch):
     # the oracle sorts every cell's words, as tuples, at once and shares no
-    # code with the block merge; the merge reads 4096 // plans words of each
-    # cell at a time, one batch in all
+    # code with the block merge; the merge reads _BATCH // plans words of
+    # each cell at a time, one batch in all
     cell_words = enumeration._cell_words
     pulled = [0]
     monkeypatch.setattr(enumeration, "_cell_words",
@@ -151,7 +151,7 @@ def test_word_blocks_match_sorted_cells(monkeypatch):
                                                      pulled))
     for query in MERGED_QUERIES:
         cells = [list(cell_words(scan)) for scan in enumeration._plans(query)]
-        size = max(4096 // max(len(cells), 1), 1)
+        size = max(enumeration._BATCH // max(len(cells), 1), 1)
         pulled[0] = 0
         _assert_blocks(enumeration._word_blocks(query), cells, size, pulled)
         assert list(enumerate_words(query)) == sorted(chain(*cells))
