@@ -23,7 +23,10 @@ bound, an entry in the upper half of the range never breaks an inequality,
 and a lowered cap keeps that true, so each entry is either low or one
 two-valued big slot, and only low+low sums can fail: :func:`_subset_scan`
 holds that rule for every depth and every cap, and :func:`_stressed3_scan`
-(S_j) is its tuned q = 3 case.  The paper's count
+(S_j) is its tuned q = 3 case.  At depth 4 and more the subset scan does
+not branch on the top low value before the pin, q-2, which meets the rest
+only through a 1: it leaves each such position one slot {q-2, q-1, q} and
+settles the slots at the leaf.  The paper's count
 floor((q+1)^2/4)^(f/(2q-2)) makes depth 2 and depth 3 (about 2^(f/2) words)
 outgrow every deeper layer, and S_j is the paper's stressed table, which is
 why that case is tuned: it searches the positions of the 1s only up to about
@@ -188,23 +191,23 @@ def _plans(query: CountQuery) -> list[Scan]:
     box, caps at the bound and no pin (j = 0).  A closed cell and a walked
     cell cost about the same, but the box shares each prefix among all its
     q*length cells and hands the last position over as one value range,
-    which beats the cells at every l <= q.  Box time over cells time,
-    serial, best of 5 (one run at l >= 9), the mean of two rounds, on a
-    2-core x86-64 host:
+    which beats the cells at every l <= q but (8, 8).  Box time over cells
+    time, serial, best of 5 (one run at l >= 9), the mean of two rounds, on
+    a 2-core x86-64 host:
 
     ======  =====  =====  =====  =====  =====
     q \\ l   q-2    q-1    q      q+1    q+2
     ======  =====  =====  =====  =====  =====
-    4       0.12   0.17   0.30   0.57   1.08
-    5       0.11   0.23   0.43   0.77   1.20
-    6       0.18   0.35   0.59   0.78   1.05
-    7       0.29   0.43   0.55   0.70   0.80
-    8       0.34   0.38   0.49   0.53   0.58
+    4       0.13   0.14   0.25   0.51   1.09
+    5       0.10   0.21   0.42   0.94   1.72
+    6       0.18   0.38   0.74   1.83   2.33
+    7       0.32   0.63   0.76   1.59   2.21
+    8       0.48   0.70   1.03   1.25   1.74
     ======  =====  =====  =====  =====  =====
 
-    The box also wins at every l = q + 1, and at l = q + 2 for q = 7 and
-    8; the rule still plans those lengths as cells (ROADMAP item 3 weighs
-    moving it against a subset scan that bins its last position).
+    The cells win at every l = q + 2 and at l = q + 1 for q >= 5; the box
+    still wins at l = q + 1 for q = 4, and is about even at (8, 8), where
+    the rule walks it (ROADMAP item 3 weighs a rule by measured cost).
 
     A MED box wins at every length measured, since strict cells are walked
     too: strict box time over strict cells time, each by :func:`_fold`, best
@@ -784,6 +787,30 @@ def _subset_scan(length: int, caps: tuple[int, ...],
     counting every entry at its least value and free the big slots left
     free; leaves are binned by (shift, free).
 
+    At q >= 4 the top low value before j, q-2, meets the rest only through
+    a 1: (q-2)+1 lands at level q-1, and every other sum with it, (q-2)+2
+    directly or (q-2)+1+1 wrapped, reaches q.  A sum of level q-1 only
+    forces a big slot before j and breaks j, and no low value depends on
+    where the q-2 entries sit.  So the scan does not branch on them: before
+    j a position takes a low value 1..q-3 or one *T slot* {q-2} u {q-1, q},
+    barred, like the big slot after j, by a sum of level below q-2.  The
+    leaf, where every low sum is known, sorts its T slots:
+
+    * M, a sum of level q-2 or a cap of q-2 there: only the top q-2 is left;
+    * X, the positions j-a for each 1 at a before j: the top would break j,
+      so the big slot stays, x^(q-1)(1+x), or x^(q-1) in F;
+    * F, a sum of level q-1 or a cap of q-1 there: the big slot is forced;
+    * any other gives x^(q-2)(1+x+x^2), or x^(q-2)(1+x) in F.
+
+    A cap of q-2 or q-1 enters ``sums`` as a sum of that level landing on
+    its position.  A top at t also forces the big slot at t+a for each 1 at
+    a, so a leaf where some t that may hold the top and a free big slot at
+    t+a share a 1 at a is *coupled*, and :func:`_top_slots` runs a transfer
+    over it.  Any other leaf is one bin (shift, free, u), u its T slots of
+    the last kind, and (1+x+x^2)^u is the sum over k of C(u, k) x^k
+    (1+x)^k.  At q = 3 the top low value is 1, whose sum with itself fails,
+    and with j = 1 nothing lies before j, so both keep the two-way branch.
+
     :func:`_stressed3_scan` (q = 3, the head up to j, no cap lowered) is
     the tuned special case of these rules; every other cell of depth q >= 3
     runs here.
@@ -804,22 +831,31 @@ def _subset_scan(length: int, caps: tuple[int, ...],
 
     The masks and shifts of each position are built once, in ``table``: for
     p other than j, its big slot's bar mask, free bit (0 when a cap forces
-    the slot) and least value, the next position, and its low values as
-    (bar mask, ``values`` bit, sums shift, value); ``below(p, r)`` is 0 for
-    r <= 2.  ``sums`` carries bit 0 of field 0, which no sum reaches, so
-    the bar mask 1 bars a slot that a cap dropped.  At q = 3 the slot after
-    j starts at 1, which no sum reaches either: its force mask is 0, not a
-    negative shift.  Position j is no node: the position before it steps to
-    j+1 with j's q in its stored values, and with j = 1 the scan starts at
-    2 with q in its shift.  Children past the last position are binned at
-    once, not pushed.
+    the slot; always set for a T slot, whose caps sit in ``sums``) and
+    least value, the next position, and its low values as (bar mask,
+    ``values`` bit, sums shift, value); ``below(p, r)`` is 0 for r <= 2.
+    A 1 at p < j also sets bit j-p of ``values``' field q-2, which every
+    shift carries past ``keep``, so the leaf reads X there.  ``sums``
+    carries bit 0 of field 0, which no sum reaches, so the bar mask 1 bars
+    a slot that a cap dropped.  At q = 3 the slot after j starts at 1,
+    which no sum reaches either, so ``plain`` leaves it out of the forced
+    slots.  Position j is no node: the position before it steps to j+1
+    with j's q in its stored values, and with j = 1 the scan starts at 2
+    with q in its shift.  Children past the last position are binned at
+    once, not pushed; those with T slots are collected and sorted after.
     """
     q = caps[j - 1]
     width = length + 1  # m bits: a sum past the length carries
     keep = (1 << ((q - 2) * width)) - 1  # the fields of levels 2 .. q-1
     before = (1 << j) - 2  # bits 1 .. j-1
-    after = (1 << width) - (1 << (j + 1)) if q > 3 else 0  # bits j+1 .. length
-    force_before, force_after = (q - 3) * width, max(q - 4, 0) * width
+    after = (1 << width) - (1 << (j + 1))  # bits j+1 .. length
+    # T slots before j at q >= 4; the two-valued slots forced at field force
+    tops = before if q > 3 else 0
+    plain, force = ((before, 0) if q == 3
+                    else (before | after, (q - 4) * width))
+    pin = (q - 3) * width  # level q-1: it forces a T slot's big value
+    mark = (q - 2) * width  # values' field of j - a for each 1 at a < j
+    sums = 1
 
     def below(p: int, r: int) -> int:
         """Bit p in the fields of the levels below r: a repunit, shifted."""
@@ -827,22 +863,34 @@ def _subset_scan(length: int, caps: tuple[int, ...],
 
     table: list = [None] * (length + 1)
     for p in range(1, length + 1):
-        if p != j:
-            least, top = (q - 1, q - 2) if p < j else (max(q - 2, 1), q - 3)
-            cap = caps[p - 1]
-            skip = q if p + 1 == j else 0
-            table[p] = (below(p, least) if cap >= least else 1,
-                        1 << p if cap > least else 0, least + skip,
-                        p + 2 if skip else p + 1,
-                        [(below(p, v), 1 << ((v - 1) * width + p),
-                          p + (v - 1) * width, v + skip)
-                         for v in range(1, min(top, cap) + 1)])
+        if p == j:
+            continue
+        slot = q > 3 and p < j  # a T slot: its bit marks it, not a choice
+        least, top = ((q - 1, q - 2) if p < j and q == 3
+                      else (max(q - 2, 1), q - 3))
+        cap = caps[p - 1]
+        if slot and q - 2 <= cap < q:
+            # a cap of q-2 or q-1 acts as a sum of that level landing on p
+            sums |= 1 << ((cap - 2) * width + p)
+        skip = q if p + 1 == j else 0
+        bar = below(p, least) if cap >= least else 1
+        bit = 1 << p if cap > least or slot else 0
+        nxt = p + 2 if skip else p + 1
+        lows = [(below(p, v), 1 << ((v - 1) * width + p),
+                 p + (v - 1) * width, v + skip)
+                for v in range(1, min(top, cap) + 1)]
+        if slot and lows:
+            # a 1 at p marks j - p, where a top would break j
+            low_bar, low_bit, low_shift, v = lows[0]
+            lows[0] = low_bar, low_bit | 1 << (mark + j - p), low_shift, v
+        table[p] = bar, bit, least + skip, nxt, lows
     start = 2 if j == 1 else 1
     if start > length:
         return _expand({(q, 0): 1})  # the word (q)
     bins: dict[tuple[int, int], int] = {}
+    tbins: dict[tuple[int, int, int], int] = {}  # uncoupled T leaves, by u
     # stack entries: (next position, values, sums, need, big slots, shift)
-    stack = [(start, 0, 1, below(j, q), 0, q if j == 1 else 0)]
+    stack = [(start, 0, sums, below(j, q), 0, q if j == 1 else 0)]
     while stack:
         p, values, sums, need, bigs, shift = stack.pop()
         bar, bit, least, nxt, lows = table[p]
@@ -860,23 +908,96 @@ def _subset_scan(length: int, caps: tuple[int, ...],
                                   need | low_bar, bigs, shift + v))
             continue
         # the last position: every wrapped sum is known once it is set
+        ts = bigs & tops
+        tees = []  # the leaves with T slots, resolved below
         if not sums & bar:
             slots = bigs | bit
-            forced = ((sums >> force_before) & slots & before
-                      | (sums >> force_after) & slots & after)
-            key = shift + least, slots.bit_count() - forced.bit_count()
-            bins[key] = bins.get(key, 0) + 1
+            free = slots & ~(sums >> force & plain)
+            if slots & tops:
+                tees.append((values, sums, slots & tops, free, shift + least))
+            else:
+                key = shift + least, free.bit_count()
+                bins[key] = bins.get(key, 0) + 1
         for low_bar, low_bit, low_shift, v in lows:
             if sums & low_bar:
                 break
-            new = (values | low_bit) << low_shift
+            ones = values | low_bit
+            new = ones << low_shift
             if not new & need:
                 new |= sums
-                forced = ((new >> force_before) & bigs & before
-                          | (new >> force_after) & bigs & after)
-                key = shift + v, bigs.bit_count() - forced.bit_count()
-                bins[key] = bins.get(key, 0) + 1
+                free = bigs & ~(new >> force & plain)
+                if ts:
+                    tees.append((ones, new, ts, free, shift + v))
+                else:
+                    key = shift + v, free.bit_count()
+                    bins[key] = bins.get(key, 0) + 1
+        for ones, sums, ts, free, shift in tees:
+            tfree = free & ts  # no level q-2 sum there: the big value is open
+            big = tfree & ~(sums >> pin)  # and free
+            if not ones & before:
+                # no 1 before j: each T slot is on its own
+                key = shift, (free ^ big).bit_count(), big.bit_count()
+                tbins[key] = tbins.get(key, 0) + 1
+                continue
+            xs = ones >> mark & ts
+            if xs & ~free:
+                continue  # j - a must hold the top and may not
+            ones &= before
+            rest = ones
+            while big and rest:
+                low = rest & -rest
+                if (ts ^ xs) * low & big:
+                    break  # coupled: a top would force a free big
+                rest ^= low
+            else:
+                key = (shift + xs.bit_count(), (free ^ big ^ xs).bit_count(),
+                       (big & ~xs).bit_count())
+                tbins[key] = tbins.get(key, 0) + 1
+                continue
+            free = (free ^ tfree).bit_count()
+            for (s, f), n in _top_slots(ts, ts ^ tfree, xs, tfree ^ big,
+                                        ones).items():
+                key = shift + s, free + f
+                bins[key] = bins.get(key, 0) + n
+    # (1+x+x^2)^u is the sum over k of C(u, k) x^k (1+x)^k
+    for (shift, free, u), n in tbins.items():
+        for k in range(u + 1):
+            key = shift + k, free + k
+            bins[key] = bins.get(key, 0) + n * comb(u, k)
     return _expand(bins)
+
+
+def _top_slots(ts: int, ms: int, xs: int, fs: int,
+               ones: int) -> dict[tuple[int, int], int]:
+    """The T slots of a coupled leaf, as ``{(extra shift, free): count}``.
+
+    Bits are positions: ``ts`` the T slots, ``ms`` those that must hold the
+    top, ``xs`` those whose top would break j, ``fs`` those whose big value
+    is forced, and ``ones`` the 1s before j.  Each T slot holds the top,
+    adding 0 to the shift, or the big slot, adding 1 and a free bit unless
+    forced; a top at t forces the big slot at t + a for each 1 at a.  The
+    slots are taken in increasing order, each state the set of later slots
+    that earlier tops have forced.
+    """
+    states = {(0, 0, 0): 1}  # (forced later slots, extra shift, free)
+    rest = ts
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (marks, s, f), n in states.items():
+            later = marks & rest
+            if not xs & bit:
+                key = later | bit * ones & rest, s, f
+                nxt[key] = nxt.get(key, 0) + n
+            if not ms & bit:
+                key = later, s + 1, f if (marks | fs) & bit else f + 1
+                nxt[key] = nxt.get(key, 0) + n
+        states = nxt
+    out: dict[tuple[int, int], int] = {}
+    for (_, s, f), n in states.items():
+        out[s, f] = out.get((s, f), 0) + n
+    return out
 
 
 def count_stressed3(length: int) -> int:

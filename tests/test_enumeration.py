@@ -553,6 +553,81 @@ def test_deep_cells_match_walker():
     assert len(scans) == 765
 
 
+def test_top_slots_match_walker(monkeypatch):
+    # every cell of depth 4..7 and length <= 8, uncapped and with one cap
+    # before the pin lowered to q-1 (the T slot's big value forced), q-2
+    # (only the top left), q-3 (the slot gone) or 1, against the walker;
+    # the coupled leaves, which run the transfer, are counted
+    coupled = []
+    transfer = enumeration._top_slots
+    monkeypatch.setattr(enumeration, "_top_slots",
+                        lambda *masks: coupled.append(masks)
+                        or transfer(*masks))
+    scans = set()
+    for q in range(4, 8):
+        for length in range(1, 9):
+            for j in range(1, length + 1):
+                scan = enumeration._frobenius_scan(length, q, j)
+                scans.add(scan)
+                caps = scan[1]
+                for p in range(j - 1):
+                    for cap in {q - 1, q - 2, q - 3, 1}:
+                        lowered = caps[:p] + (cap,) + caps[p + 1:]
+                        scans.add((length, lowered, j, 0))
+    for scan in scans:
+        assert _trimmed(enumeration._closed_form(scan)) == \
+            _trimmed(enumeration._fold(scan))
+    assert len(scans) == 1404
+    assert len(coupled) > 1000
+
+
+def _brute_top_slots(ts, ms, xs, fs, ones):
+    # every top/big choice over the T slots, checked one by one
+    slots = [t for t in range(ts.bit_length()) if ts >> t & 1]
+    out = Counter()
+    for tops in product((True, False), repeat=len(slots)):
+        chosen = {t for t, top in zip(slots, tops) if top}
+        if any(xs >> t & 1 for t in chosen) or \
+                any(ms >> t & 1 for t in slots if t not in chosen):
+            continue
+        bigs = [t for t in slots if t not in chosen]
+        forced = [t for t in bigs if fs >> t & 1
+                  or any(ones >> a & 1 and t - a in chosen
+                         for a in range(1, t))]
+        out[len(bigs), len(bigs) - len(forced)] += 1
+    return dict(out)
+
+
+def test_top_slots_match_brute():
+    # the transfer over every leaf shape with the pin at 6: each of the
+    # positions 1..5 holds a 1, another low value, or a T slot that is
+    # plain, must hold the top, or has its big value forced; a top at t
+    # is barred where a 1 sits at 6 - t
+    j = 6
+    coupled = 0
+    for kinds in product(range(5), repeat=j - 1):
+        ones = ts = ms = fs = 0
+        for p, kind in enumerate(kinds, 1):
+            ones |= (kind == 0) << p
+            ts |= (kind >= 2) << p
+            ms |= (kind == 3) << p
+            fs |= (kind == 4) << p
+        xs = sum(1 << t for t in range(1, j) if ts >> t & 1
+                 and ones >> (j - t) & 1)
+        got = enumeration._top_slots(ts, ms, xs, fs, ones)
+        assert {key: n for key, n in got.items() if n} == \
+            _brute_top_slots(ts, ms, xs, fs, ones)
+        coupled += any(ones >> a & 1 and (ts & ~xs) << a & ts & ~(ms | fs)
+                       for a in range(1, j))
+    assert coupled > 100
+    # the leaf (1, T, T, T) of the cell (5, 4, 5), T = {2, 3, 4}: 1 + 1
+    # lands on 2, so 2 holds the top 2 and forces 3 to 3 if 3 is big; 4
+    # may not hold the top (4 + 1 = 5), and a top at 3 forces it to 3:
+    # (1, 2, 2, 3, 4), then (1, 2, 3, 3, 4) and (1, 2, 3, 4, 4)
+    assert enumeration._top_slots(0b11100, 0b100, 0b10000, 0, 0b10) == \
+        {(1, 0): 1, (2, 1): 1}
+
+
 def test_empty_depth1_scan_counts_zero():
     # f = 6 with length 14: depth 1 with its last 1 at position 6 < 14, so
     # positions 7..14 are capped at 0 and the scan holds no words
