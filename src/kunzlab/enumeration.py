@@ -25,13 +25,14 @@ two-valued big slot, and only low+low sums can fail: :func:`_subset_scan`
 holds that rule for every depth and every cap, and :func:`_stressed3_scan`
 (S_j) is its tuned q = 3 case.  At depth 4 and more the subset scan does
 not branch on the top low value before the pin, q-2, which meets the rest
-only through a 1: it leaves each such position one slot {q-2, q-1, q} and
-settles the slots at the leaf.  The paper's count
-floor((q+1)^2/4)^(f/(2q-2)) makes depth 2 and depth 3 (about 2^(f/2) words)
-outgrow every deeper layer, and S_j is the paper's stressed table, which is
-why that case is tuned: it searches the positions of the 1s only up to about
-the last quarter of the word, and bins that quarter from one table, since
-those positions meet only the first quarter.
+only through a 1: it leaves each such position one slot {q-2, q-1, q}.  At
+depth 5 and more it does the same after the pin with q-3, in one slot
+{q-3, q-2, q-1}, and it settles all those slots at the leaf.  The paper's
+count floor((q+1)^2/4)^(f/(2q-2)) makes depth 2 and depth 3 (about 2^(f/2)
+words) outgrow every deeper layer, and S_j is the paper's stressed table,
+which is why that case is tuned: it searches the positions of the 1s only up
+to about the last quarter of the word, and bins that quarter from one table,
+since those positions meet only the first quarter.
 
 MED words are counted through the lift (:func:`_med_via_membership`): a MED
 semigroup of multiplicity m is {0} u (m + T), with T of Frobenius number
@@ -793,23 +794,39 @@ def _subset_scan(length: int, caps: tuple[int, ...],
     forces a big slot before j and breaks j, and no low value depends on
     where the q-2 entries sit.  So the scan does not branch on them: before
     j a position takes a low value 1..q-3 or one *T slot* {q-2} u {q-1, q},
-    barred, like the big slot after j, by a sum of level below q-2.  The
-    leaf, where every low sum is known, sorts its T slots:
+    barred by a sum of level below q-2.
 
-    * M, a sum of level q-2 or a cap of q-2 there: only the top q-2 is left;
-    * X, the positions j-a for each 1 at a before j: the top would break j,
-      so the big slot stays, x^(q-1)(1+x), or x^(q-1) in F;
-    * F, a sum of level q-1 or a cap of q-1 there: the big slot is forced;
-    * any other gives x^(q-2)(1+x+x^2), or x^(q-2)(1+x) in F.
+    At q >= 5 the top low value after j, q-3, meets the rest only through
+    1s as well: (q-3)+1 lands after j at level q-2, which bars q-1 there;
+    (q-3)+1+1 wrapped lands at level q-1, which forces a T slot's big value
+    and breaks j; every other sum with it reaches q-1 after j, or q (two of
+    them make 2q-6 >= q-1).  So after j a position takes a low value
+    1..q-4 or one *U slot* {q-3} u {q-2, q-1}, barred by a sum of level
+    below q-3.  At q = 4, q-3 is 1, whose sum with itself fails, so the
+    positions after j keep the big slot.  The leaf, where every low sum is
+    known, sorts its T and U slots, with l the slot's least value (q-2 on a
+    T slot, q-3 on a U slot):
 
-    A cap of q-2 or q-1 enters ``sums`` as a sum of that level landing on
-    its position.  A top at t also forces the big slot at t+a for each 1 at
-    a, so a leaf where some t that may hold the top and a free big slot at
-    t+a share a 1 at a is *coupled*, and :func:`_top_slots` runs a transfer
-    over it.  Any other leaf is one bin (shift, free, u), u its T slots of
-    the last kind, and (1+x+x^2)^u is the sum over k of C(u, k) x^k
-    (1+x)^k.  At q = 3 the top low value is 1, whose sum with itself fails,
-    and with j = 1 nothing lies before j, so both keep the two-way branch.
+    * M, a sum of level l or a cap of l there: only the top l is left;
+    * X, the positions j-a, and j+m-a after j, for each 1 at a: the top
+      would break j, so the big slot stays, x^(l+1)(1+x), or x^(l+1) in F;
+    * F, a sum of level l+1 or a cap of l+1 there: the big slot is forced;
+    * any other gives x^l(1+x+x^2), or x^l(1+x) in F.
+
+    A cap of l or l+1 enters ``sums`` as a sum of that level landing on its
+    position.  A top also forces big values through each 1 at a: a T top
+    at t the T slot at t+a, a U top at t the U slot at t+a and the T slot
+    at t+a-m.  With the positions rotated to p-j-1 mod m (the U slots
+    first, then the T slots, then j), each of those marks lands at t+a,
+    and every other t+a is j itself (X) or lies past it, where the sum
+    changes nothing.  A top that may be held and a slot it marks whose
+    big value is open are *linked*; :func:`_top_slots` runs one forward
+    transfer over the linked slots, rotated, memoized within the call by
+    its masks, and the other slots stand alone.  So a leaf gives one bin
+    (shift, free, u) per outcome of its transfer, u its lone slots of the
+    last kind, and (1+x+x^2)^u is the sum over k of C(u, k) x^k (1+x)^k.
+    At q = 3 the top low value is 1 on both sides of j, so q = 3 keeps the
+    two-way branch.
 
     :func:`_stressed3_scan` (q = 3, the head up to j, no cap lowered) is
     the tuned special case of these rules; every other cell of depth q >= 3
@@ -831,30 +848,38 @@ def _subset_scan(length: int, caps: tuple[int, ...],
 
     The masks and shifts of each position are built once, in ``table``: for
     p other than j, its big slot's bar mask, free bit (0 when a cap forces
-    the slot; always set for a T slot, whose caps sit in ``sums``) and
+    the slot; always set for a T or U slot, whose caps sit in ``sums``) and
     least value, the next position, and its low values as (bar mask,
     ``values`` bit, sums shift, value); ``below(p, r)`` is 0 for r <= 2.
-    A 1 at p < j also sets bit j-p of ``values``' field q-2, which every
-    shift carries past ``keep``, so the leaf reads X there.  ``sums``
-    carries bit 0 of field 0, which no sum reaches, so the bar mask 1 bars
-    a slot that a cap dropped.  At q = 3 the slot after j starts at 1,
+    A 1 at p also sets bit j-p (p < j, q >= 4) or j+m-p (p > j, q >= 5)
+    of ``values``' field q-2, which every shift carries past ``keep``, so
+    the leaf reads X there.  ``sums`` carries bit 0 of field 0, which no
+    sum reaches, so the bar mask 1 bars a slot that a cap dropped.  At q = 3 the slot after j starts at 1,
     which no sum reaches either, so ``plain`` leaves it out of the forced
     slots.  Position j is no node: the position before it steps to j+1
     with j's q in its stored values, and with j = 1 the scan starts at 2
     with q in its shift.  Children past the last position are binned at
-    once, not pushed; those with T slots are collected and sorted after.
+    once, not pushed; those with T or U slots are collected and sorted
+    after.
     """
     q = caps[j - 1]
     width = length + 1  # m bits: a sum past the length carries
     keep = (1 << ((q - 2) * width)) - 1  # the fields of levels 2 .. q-1
     before = (1 << j) - 2  # bits 1 .. j-1
     after = (1 << width) - (1 << (j + 1))  # bits j+1 .. length
-    # T slots before j at q >= 4; the two-valued slots forced at field force
-    tops = before if q > 3 else 0
-    plain, force = ((before, 0) if q == 3
-                    else (before | after, (q - 4) * width))
-    pin = (q - 3) * width  # level q-1: it forces a T slot's big value
-    mark = (q - 2) * width  # values' field of j - a for each 1 at a < j
+    # T slots before j at q >= 4, U slots after j at q >= 5
+    tops = (before if q > 3 else 0) | (after if q > 4 else 0)
+    # the two-valued big slots a level-2 sum forces: {2, 3} before j at
+    # q = 3 and after j at q = 4
+    plain = before if q == 3 else after if q == 4 else 0
+    ones_seen = before if q == 4 else before | after  # the 1s a top meets
+    # the slots rotated, position p to p - j - 1 mod m: the U slots first,
+    # then the T slots, and j last
+    turn, back, window = j + 1, width - j - 1, (1 << length) - 1
+    mark = (q - 2) * width  # values' field of X, where a top breaks j
+    # the fields of the levels that make a slot hold its top (m) or force
+    # its big value (f): q-2 and q-1 on a T slot, q-3 and q-2 on a U slot
+    t_m, t_f, u_m = (q - 4) * width, (q - 3) * width, max(q - 5, 0) * width
     sums = 1
 
     def below(p: int, r: int) -> int:
@@ -865,12 +890,13 @@ def _subset_scan(length: int, caps: tuple[int, ...],
     for p in range(1, length + 1):
         if p == j:
             continue
-        slot = q > 3 and p < j  # a T slot: its bit marks it, not a choice
-        least, top = ((q - 1, q - 2) if p < j and q == 3
-                      else (max(q - 2, 1), q - 3))
+        slot = tops >> p & 1  # a T or U slot: its bit marks it, not a choice
+        least = (q - 1 if q == 3 else q - 2) if p < j else \
+            q - 3 if q > 4 else max(q - 2, 1)
         cap = caps[p - 1]
-        if slot and q - 2 <= cap < q:
-            # a cap of q-2 or q-1 acts as a sum of that level landing on p
+        if slot and least <= cap <= least + 1:
+            # a cap of the slot's least value or the next acts as a sum of
+            # that level landing on p
             sums |= 1 << ((cap - 2) * width + p)
         skip = q if p + 1 == j else 0
         bar = below(p, least) if cap >= least else 1
@@ -878,17 +904,20 @@ def _subset_scan(length: int, caps: tuple[int, ...],
         nxt = p + 2 if skip else p + 1
         lows = [(below(p, v), 1 << ((v - 1) * width + p),
                  p + (v - 1) * width, v + skip)
-                for v in range(1, min(top, cap) + 1)]
+                for v in range(1, min(least - 1, cap) + 1)]
         if slot and lows:
-            # a 1 at p marks j - p, where a top would break j
+            # a 1 at p marks j - p, or j + m - p after j, where a top would
+            # break j
             low_bar, low_bit, low_shift, v = lows[0]
-            lows[0] = low_bar, low_bit | 1 << (mark + j - p), low_shift, v
+            x = j - p if p < j else j + width - p
+            lows[0] = low_bar, low_bit | 1 << (mark + x), low_shift, v
         table[p] = bar, bit, least + skip, nxt, lows
     start = 2 if j == 1 else 1
     if start > length:
         return _expand({(q, 0): 1})  # the word (q)
     bins: dict[tuple[int, int], int] = {}
-    tbins: dict[tuple[int, int, int], int] = {}  # uncoupled T leaves, by u
+    tbins: dict[tuple[int, int, int], int] = {}  # leaves with slots, by u
+    memo: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}  # transfers
     # stack entries: (next position, values, sums, need, big slots, shift)
     stack = [(start, 0, sums, below(j, q), 0, q if j == 1 else 0)]
     while stack:
@@ -908,15 +937,13 @@ def _subset_scan(length: int, caps: tuple[int, ...],
                                   need | low_bar, bigs, shift + v))
             continue
         # the last position: every wrapped sum is known once it is set
-        ts = bigs & tops
-        tees = []  # the leaves with T slots, resolved below
+        tees = []  # the leaves with T or U slots, resolved below
         if not sums & bar:
             slots = bigs | bit
-            free = slots & ~(sums >> force & plain)
             if slots & tops:
-                tees.append((values, sums, slots & tops, free, shift + least))
+                tees.append((values, sums, slots, shift + least))
             else:
-                key = shift + least, free.bit_count()
+                key = shift + least, (slots & ~(sums & plain)).bit_count()
                 bins[key] = bins.get(key, 0) + 1
         for low_bar, low_bit, low_shift, v in lows:
             if sums & low_bar:
@@ -925,40 +952,53 @@ def _subset_scan(length: int, caps: tuple[int, ...],
             new = ones << low_shift
             if not new & need:
                 new |= sums
-                free = bigs & ~(new >> force & plain)
-                if ts:
-                    tees.append((ones, new, ts, free, shift + v))
+                if bigs & tops:
+                    tees.append((ones, new, bigs, shift + v))
                 else:
-                    key = shift + v, free.bit_count()
+                    key = shift + v, (bigs & ~(new & plain)).bit_count()
                     bins[key] = bins.get(key, 0) + 1
-        for ones, sums, ts, free, shift in tees:
-            tfree = free & ts  # no level q-2 sum there: the big value is open
-            big = tfree & ~(sums >> pin)  # and free
-            if not ones & before:
-                # no 1 before j: each T slot is on its own
-                key = shift, (free ^ big).bit_count(), big.bit_count()
-                tbins[key] = tbins.get(key, 0) + 1
-                continue
+        for ones, sums, slots, shift in tees:
+            ts = slots & tops
+            level = sums >> t_m
+            ms = (level & before | sums >> u_m & after) & ts
             xs = ones >> mark & ts
-            if xs & ~free:
-                continue  # j - a must hold the top and may not
-            ones &= before
-            rest = ones
-            while big and rest:
-                low = rest & -rest
-                if (ts ^ xs) * low & big:
-                    break  # coupled: a top would force a free big
-                rest ^= low
-            else:
-                key = (shift + xs.bit_count(), (free ^ big ^ xs).bit_count(),
+            if xs & ms:
+                continue  # a slot must hold the top and may not
+            fs = (sums >> t_f & before | level & after) & ts & ~ms
+            big = ts & ~(ms | fs)  # the slots whose big value is open
+            free = slots & ~(sums & plain | tops)  # plain, left free
+            # rotated, a top at t marks t + a for each 1 at a (T to T and U
+            # to U directly, U to T wrapped): it and the open slots it marks
+            # are linked
+            ones &= ones_seen
+            linked = 0
+            if big and ones:
+                held = ((ts & ~xs) >> turn | (ts & ~xs) << back) & window
+                open_ = (big >> turn | big << back) & window
+                rest = ones
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    hit = held * low & open_
+                    linked |= hit | hit // low
+            if not linked:
+                key = (shift + xs.bit_count(), (free | fs ^ xs).bit_count(),
                        (big & ~xs).bit_count())
                 tbins[key] = tbins.get(key, 0) + 1
                 continue
-            free = (free ^ tfree).bit_count()
-            for (s, f), n in _top_slots(ts, ts ^ tfree, xs, tfree ^ big,
-                                        ones).items():
-                key = shift + s, free + f
-                bins[key] = bins.get(key, 0) + n
+            ts, ms, xs, fs = ((x >> turn | x << back) & window
+                              for x in (ts, ms, xs, fs))
+            alone = ts & ~linked
+            shift += (xs & alone).bit_count()
+            free = free.bit_count() + ((fs ^ xs) & alone).bit_count()
+            u = (alone & ~(ms | fs | xs)).bit_count()
+            masks = linked, ms & linked, xs & linked, fs & linked, ones
+            out = memo.get(masks)
+            if out is None:
+                out = memo[masks] = _top_slots(*masks)
+            for (s, f), n in out.items():
+                key = shift + s, free + f, u
+                tbins[key] = tbins.get(key, 0) + n
     # (1+x+x^2)^u is the sum over k of C(u, k) x^k (1+x)^k
     for (shift, free, u), n in tbins.items():
         for k in range(u + 1):
@@ -969,15 +1009,16 @@ def _subset_scan(length: int, caps: tuple[int, ...],
 
 def _top_slots(ts: int, ms: int, xs: int, fs: int,
                ones: int) -> dict[tuple[int, int], int]:
-    """The T slots of a coupled leaf, as ``{(extra shift, free): count}``.
+    """The linked slots of a leaf, as ``{(extra shift, free): count}``.
 
-    Bits are positions: ``ts`` the T slots, ``ms`` those that must hold the
-    top, ``xs`` those whose top would break j, ``fs`` those whose big value
-    is forced, and ``ones`` the 1s before j.  Each T slot holds the top,
-    adding 0 to the shift, or the big slot, adding 1 and a free bit unless
-    forced; a top at t forces the big slot at t + a for each 1 at a.  The
-    slots are taken in increasing order, each state the set of later slots
-    that earlier tops have forced.
+    Bits are slots in the order they are taken: ``ts`` the slots, ``ms``
+    those that must hold the top, ``xs`` those whose top would break j,
+    ``fs`` those whose big value is forced, and ``ones`` the 1s.  Each slot
+    holds the top, adding 0 to the shift, or the big slot, adding 1 and a
+    free bit unless forced; a top at t forces the big slot at t + a for
+    each 1 at a.  The slots are taken in increasing order, each state the
+    set of later slots that earlier tops have forced.  :func:`_subset_scan`
+    passes its T and U slots rotated, so that position j + 1 comes first.
     """
     states = {(0, 0, 0): 1}  # (forced later slots, extra shift, free)
     rest = ts

@@ -628,6 +628,111 @@ def test_top_slots_match_brute():
         {(1, 0): 1, (2, 1): 1}
 
 
+def test_u_slots_match_walker(monkeypatch):
+    # every cell of depth 5..8 and length <= 8, uncapped, with one cap after
+    # the pin lowered to q-2 (the U slot's big value forced), q-3 (only the
+    # top left), q-4 (the slot gone) or 1, and with one cap before the pin
+    # at q-1 or q-2, where U tops' wrapped marks meet forced T slots; the
+    # transfers that ran over U slots, and over U and T slots together,
+    # are counted (rotated, the positions after the pin come first)
+    ran = []
+    transfer = enumeration._top_slots
+    monkeypatch.setattr(enumeration, "_top_slots",
+                        lambda *masks: ran.append(masks) or transfer(*masks))
+    scans = set()
+    for q in range(5, 9):
+        for length in range(1, 9):
+            for j in range(1, length + 1):
+                scan = enumeration._frobenius_scan(length, q, j)
+                scans.add(scan)
+                caps = scan[1]
+                for p in range(length):
+                    lowered = ({q - 1, q - 2} if p < j - 1 else
+                               {q - 2, q - 3, q - 4, 1} if p >= j else ())
+                    for cap in lowered:
+                        scans.add((length, caps[:p] + (cap,) + caps[p + 1:],
+                                   j, 0))
+    with_u = with_t = 0
+    for length, caps, j, strict in scans:
+        ran.clear()
+        scan = length, caps, j, strict
+        assert _trimmed(enumeration._closed_form(scan)) == \
+            _trimmed(enumeration._fold(scan))
+        after = (1 << length - j) - 1
+        with_u += sum(1 for masks in ran if masks[0] & after)
+        with_t += sum(1 for masks in ran if masks[0] & after
+                      and masks[0] & ~after)
+    assert len(scans) == 2076
+    assert with_u > 1000
+    assert with_t > 1000
+
+
+def _brute_slots(q, m, j, ts, us, ms, fs, ones):
+    # every top/big choice over the T slots (least value q-2, before j) and
+    # U slots (least q-3, after j), checked one by one from the levels of
+    # the sums: a top at s and a 1 at a land at s + a with the top + 1, or
+    # past m at s + a - m with the top + 2; j needs a level of q, and a big
+    # slot keeps its upper value (least + 2) only if no sum there is below
+    least = {t: q - 2 if t < j else q - 3
+             for t in range(1, m) if (ts | us) >> t & 1}
+    slots = sorted(least)
+    lands = {s: [(s + a, least[s] + 1) if s + a < m else
+                 (s + a - m, least[s] + 2)
+                 for a in range(1, m) if ones >> a & 1] for s in slots}
+    out = Counter()
+    for tops in product((True, False), repeat=len(slots)):
+        chosen = [t for t, top in zip(slots, tops) if top]
+        bigs = [t for t, top in zip(slots, tops) if not top]
+        if any(ms >> t & 1 for t in bigs):
+            continue
+        sums = [land for s in chosen for land in lands[s]]
+        if any(r == j and level < q for r, level in sums):
+            continue
+        forced = [t for t in bigs if fs >> t & 1 or
+                  any(r == t and level < least[t] + 2 for r, level in sums)]
+        out[len(bigs), len(bigs) - len(forced)] += 1
+    return dict(out)
+
+
+def test_u_and_t_slots_match_brute():
+    # the transfer over every leaf shape of the cells (7, 6, 3) and
+    # (7, 6, 5), m = 8, with the positions rotated as the subset scan
+    # rotates them (p to p - j - 1 mod m): each position but the pin holds
+    # a 1, another low value, or a slot that is plain, must hold the top,
+    # or has its big value forced; a top at t is barred where a 1 sits at
+    # j - t, or at j + m - t after the pin
+    q, m = 6, 8
+    mixed = coupled = 0
+    for j in (3, 5):
+        before = (1 << j) - 2
+
+        def rotated(mask):
+            return (mask >> j + 1 | mask << m - j - 1) & (1 << m - 1) - 1
+
+        positions = [p for p in range(1, m) if p != j]
+        for kinds in product(range(5), repeat=m - 2):
+            ones = slots = ms = fs = 0
+            for p, kind in zip(positions, kinds):
+                ones |= (kind == 0) << p
+                slots |= (kind >= 2) << p
+                ms |= (kind == 3) << p
+                fs |= (kind == 4) << p
+            ts, us = slots & before, slots & ~before
+            xs = sum(1 << t for t in positions if slots >> t & 1
+                     and ones >> (j - t) % m & 1)
+            got = enumeration._top_slots(rotated(slots), rotated(ms),
+                                         rotated(xs), rotated(fs), ones)
+            assert {key: n for key, n in got.items() if n} == \
+                _brute_slots(q, m, j, ts, us, ms, fs, ones)
+            mixed += bool(ts and us)
+            # a U top's wrapped mark lands on a T slot whose big is open
+            coupled += any(ones >> a & 1 and
+                           (us & ~xs) << a >> m & ts & ~(ms | fs)
+                           for a in range(1, m))
+    assert mixed > 10000
+    assert coupled > 1000
+
+
 def test_empty_depth1_scan_counts_zero():
     # f = 6 with length 14: depth 1 with its last 1 at position 6 < 14, so
     # positions 7..14 are capped at 0 and the scan holds no words
