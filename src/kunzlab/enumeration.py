@@ -54,10 +54,11 @@ below those two pay a pass over the prefix.
 Enumeration splits as the counts do (:func:`_cell_words`): a closed cell of
 depth at most 3 with no lowered cap yields its words from the product its
 closed form describes (a free {1,2} head at q = 2; the stressed depth-3
-words of length j, walked, times free {1,2} tails at q = 3), and every other
-scan expands the walker's ranges into words.  Each word is a key of one byte
-per entry, which compares by memcmp in the order of its tuple; a query with
-a cap of 256 or more packs every key as a tuple instead.  The cell streams
+words of length j, read from their 1-set rule (:func:`_stressed3_words`),
+times free {1,2} tails at q = 3), and every other scan expands the walker's
+ranges into words.  Each word is a key of one byte per entry, which
+compares by memcmp in the order of its tuple; a query with a cap of 256 or
+more packs every key as a tuple instead.  The cell streams
 are merged a block at a time (:func:`_merge_blocks`), not a word at a time:
 the least last key of their buffers bounds a block, one C sort merges the
 pieces below it, and the buffers of all the streams together hold one
@@ -275,12 +276,21 @@ def _walk(scan: Scan):
     its interval from them and is looped flat: for each of its values v
     only the pair (1, L-1), w[L-2] - v and the self pair of L remain, so
     neither L-1 nor L is pushed or backed out of.
+
+    A cell's pin also floors the positions before it.  Once p < j <= 2p,
+    the pair (p, j-p) is complete and sums onto the pin, so w[p] is at
+    least q + strict - w[j-p], or (q + strict)/2 rounded up when 2p = j;
+    when j = L, position L-1's carried floor takes q + strict - w[1] as
+    position 1 is set.  Each such floor cuts only prefixes that die at j,
+    so the leaves stay the same; the pairs that wrap onto j already enter
+    the pass over the prefix.
     """
     length, caps, j, strict = scan
     floors = [1] * length
     if j:
         floors[j - 1] = caps[j - 1]
     comp = 1 - strict
+    pin = caps[j - 1] + strict if j else 0  # w[a] + w[j-a] must reach it
     w = [0] * (length + 1)
     last = length - 1  # the position looped flat
     if not last:
@@ -310,6 +320,11 @@ def _walk(scan: Scan):
                 # the pair (p, p) wraps onto position 2p - length - 1, so
                 # 2 * w[p] >= w[2p - length - 1] - comp; floors keep lb >= 1
                 cand = (w[2 * p - length - 1] - comp + 1) // 2
+                if cand > lb:
+                    lb = cand
+            if p < j <= 2 * p:
+                # the pair (p, j - p) is complete and sums onto the pin
+                cand = pin - w[j - p] if 2 * p > j else (pin + 1) // 2
                 if cand > lb:
                     lb = cand
         else:
@@ -365,6 +380,11 @@ def _walk(scan: Scan):
             cand = w[p - 2] - w[p] - comp
             if cand > floor:
                 floor = cand
+        elif p == 1 and j == length:
+            # the pair (1, L-1) sums onto a pin at L
+            cand = pin - w[1]
+            if cand > floor:
+                floor = cand
         if p == last - 2:
             # the pair (L-1, L-1) wraps onto position L-3 = p
             cand = (w[p] - comp + 1) // 2
@@ -402,9 +422,9 @@ def _cell_words(scan: Scan, pack=tuple):
 
     * q = 1: the word of ones when j = length, else nothing;
     * q = 2: a free {1,2} head of length j-1, then the 2 at j and ones;
-    * q = 3: a stressed depth-3 head of length j, walked, each followed by
-      every free {1,2} tail (:func:`_free_words`); when j = length the
-      heads are the words.
+    * q = 3: a stressed depth-3 head of length j, from its 1-set rule
+      (:func:`_stressed3_words`), each followed by every free {1,2} tail
+      (:func:`_free_words`); when j = length the heads are the words.
 
     Packed as ``bytes``, the words compare as the tuples do (memcmp, a
     shorter prefix first), so merging and sorting them keeps tuple order.
@@ -419,10 +439,53 @@ def _cell_words(scan: Scan, pack=tuple):
     if q == 2:
         return _free_words([pack(())], j - 1,
                            pack((2,) + (1,) * (length - j)), pack)
-    heads = _words(_frobenius_scan(j, 3, j), pack)
+    heads = _stressed3_words(j, pack)
     if j == length:
         return heads
     return _free_words(heads, length - j, pack(()), pack)
+
+
+def _stressed3_words(length: int, pack=tuple):
+    """Yield the stressed depth-3 words of the given length in ascending
+    lexicographic order, each packed by ``pack`` as in :func:`_words`.
+
+    The rule is :func:`_stressed3_scan`'s, read forward: with the 3 pinned
+    at the last position L and S the positions of the 1s set so far, a
+    position p < L may hold 1 unless 2p = L or L - p is in S, 3 unless p is
+    in S+S (repeats allowed), and 2 always.  An all-2 suffix keeps every
+    prefix valid, so no prefix dies: the search is a stack over positions
+    1..L-1 that takes the least value in place and pushes the others, and
+    the position before the pin is emitted with the 3 from three keys.
+    S and S+S are bit masks, and a 1 at p adds (S u {p}) << p to S+S.
+    """
+    if length == 1:
+        yield pack((3,))
+        return
+    one, two, three = pack((1,)), pack((2,)), pack((3,))
+    ends = [pack((v, 3)) for v in (1, 2, 3)]
+    pin, last = 1 << length, length - 1
+    stack = [(1, pack(()), 0, 0)]
+    while stack:
+        p, prefix, ones, sums = stack.pop()
+        while p < last:
+            bit = 1 << p
+            if not sums & bit:
+                stack.append((p + 1, prefix + three, ones, sums))
+            new_ones = ones | bit
+            new_sums = sums | new_ones << p
+            if new_sums & pin:
+                prefix += two
+            else:
+                stack.append((p + 1, prefix + two, ones, sums))
+                prefix += one
+                ones, sums = new_ones, new_sums
+            p += 1
+        bit = 1 << last
+        if not (ones | bit) << last & pin:
+            yield prefix + ends[0]
+        yield prefix + ends[1]
+        if not sums & bit:
+            yield prefix + ends[2]
 
 
 def _free_words(prefixes, n: int, suffix, pack):
@@ -674,7 +737,8 @@ def _stressed3_scan(length: int) -> tuple[int, ...]:
     This is the rule set of :func:`_subset_scan` for q = 3, j = length and
     no lowered cap, tuned: the only low value is 1, and the big slot {2,3}
     is forced to 2 exactly on S+S.  Every other cell of depth 3 or more
-    runs in :func:`_subset_scan` itself.
+    runs in :func:`_subset_scan` itself, and :func:`_stressed3_words` reads
+    the same rule forward to list the words.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")

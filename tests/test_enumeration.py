@@ -88,6 +88,22 @@ def test_cell_words_match_walker():
                 assert q > 1 or len(want) == (j == length)
 
 
+def test_stressed3_words_match_tables():
+    # the generator read from the 1-set rule against the subset scan's
+    # (count, genus total), which shares no code with it; the genus of a
+    # word is its entry sum; bytes keys read back with tuple() give the
+    # tuple pack, word for word, up to length 13 (lengths 14 and 15 hold
+    # 834,256 words, and test_cell_words_match_walker reads the tuple pack
+    # against the walker up to 14)
+    for length in range(1, 16):
+        keys = list(enumeration._stressed3_words(length, bytes))
+        assert (len(keys), sum(map(sum, keys))) == \
+            stressed3_genus_total(length)
+        if length <= 13:
+            assert list(map(tuple, keys)) == \
+                list(enumeration._stressed3_words(length))
+
+
 def _cell(scan):
     """``(q, j)`` when a plan is a cell: not MED, its maximum q pinned at
     j, no cap above q before j or above q - 1 after it; else ``None``."""
@@ -299,6 +315,37 @@ def test_walker_matches_definition_on_small_scans():
                     scans += 1
                     leaves += n
     assert (scans, leaves) == (495, 17520)
+
+
+def test_walker_matches_definition_at_length_6():
+    # every cell of length 6 and depth q <= 4, plain, MED, and plain with
+    # one cap lowered, walked against the definition as in the test above:
+    # at this length a pin at j = 5 or 6 floors positions 3 and 4 through
+    # the pairs (p, j - p), and a pin at 6 floors position 5 through the
+    # pair (1, 5) before it is looped flat
+    length = 6
+    scans = leaves = 0
+    for q in range(1, 5):
+        words = list(product(range(1, q + 1), repeat=length))
+        valid = ([w for w in words if is_kunz(w)],
+                 [w for w in words if is_med(w)])
+        for j in range(1, length + 1):
+            _, caps, _, _ = enumeration._frobenius_scan(length, q, j)
+            floors = tuple(q if r == j - 1 else 1 for r in range(length))
+            forms = [(caps, 0), (caps, 1)] + [
+                (caps[:r] + (caps[r] - 1,) + caps[r + 1:], 0)
+                for r in range(length) if caps[r] > floors[r]]
+            for top, strict in forms:
+                scan = (length, top, j, strict)
+                want = [w for w in valid[strict]
+                        if all(map(le, floors, w)) and all(map(le, w, top))]
+                assert list(enumeration._words(scan)) == want
+                walked = _trimmed(enumeration._fold(scan))
+                hist = Counter(map(sum, want))
+                assert walked == [hist[g] for g in range(len(walked))]
+                scans += 1
+                leaves += sum(1 for _ in enumeration._walk(scan))
+    assert (scans, leaves) == (123, 4661)
 
 
 def test_depth_bound_cells_match_walked_box():
