@@ -722,17 +722,17 @@ def _stressed3_scan(length: int) -> tuple[int, ...]:
     leaves are binned by (u, |S|) and each bin is expanded once.
 
     The search over S stops at the cut c = length - k and bins the k top
-    positions c..length-1 in bulk, with k = (length - 5) // 4 from length 11
-    on and k = 0 below, where the table would cost more than it saves.
+    positions c..length-1 in bulk, with k = max((length - 5) // 4, 0).
     Near that k the time barely moves with k, while the nodes kept at the
     cut double with each step, so k sits at the low end.  As k < length/2,
     a top position p meets the rest of S only through H, the positions of S
     in 1..k: its partner length - p lies in 1..k, a sum p + s below the
-    final position needs s < k, and two top positions sum past it.  So a
-    node at the cut is binned by H, the covered top positions, u so far and
-    |S|.  Each (H, covered top) pair is then expanded once, from a table
-    over the top subsets T whose partners miss H: T adds |T| to |S|, and to
-    u the top positions that T u (T+H) covers and the walk had not.
+    final position needs s < k, and two top positions sum past it.  So the
+    nodes at the cut are binned by their (H, covered top) pair, and within
+    a pair by u so far and |S|.  Each pair is then expanded once, from a
+    table over the top subsets T whose partners miss H: T adds |T| to |S|,
+    and to u the top positions that T u (T+H) covers and the walk had not.
+    With k = 0 there is one pair, and its table holds only the empty T.
 
     This is the rule set of :func:`_subset_scan` for q = 3, j = length and
     no lowered cap, tuned: the only low value is 1, and the big slot {2,3}
@@ -744,16 +744,15 @@ def _stressed3_scan(length: int) -> tuple[int, ...]:
         raise ValueError("length must be nonnegative")
     if length == 0:
         return (1,)
-    k = (length - 5) // 4 if length > 10 else 0
+    k = max((length - 5) // 4, 0)
     cut = length - k
     top = 1 << length
     full_mask = (top << 1) - 1
     below = (1 << cut) - 2  # bits 1 .. cut-1
     heads = (1 << (k + 1)) - 2  # bits 1 .. k, the top positions' partners
-    square = length * length
-    # nodes at the cut, keyed by (H << k | covered top) * square
-    # + u * length + |S|, with u counting the covered positions below the cut
-    nodes: dict[int, int] = {}
+    # nodes at the cut, by (H, covered top), then by u * length + |S|, with
+    # u counting the covered positions below the cut
+    pairs: dict[tuple[int, int], dict[int, int]] = {}
     # stack entries: (next candidate position, S mask, S u (S+S) mask, |S|);
     # an entry leaves out every position up to the cut, pushing each branch
     # that puts one in S instead
@@ -767,39 +766,32 @@ def _stressed3_scan(length: int) -> tuple[int, ...]:
             if not new_u & top:
                 stack.append((p + 1, new_s, new_u, size + 1))
             p += 1
+        pair = smask & heads, umask >> cut
+        nodes = pairs.get(pair)
+        if nodes is None:
+            nodes = pairs[pair] = {}
         key = (umask & below).bit_count() * length + size
-        if k:
-            key += ((smask & heads) << k | umask >> cut) * square
         nodes[key] = nodes.get(key, 0) + 1
-    bins = nodes
-    if k:
-        window = (1 << k) - 1  # top position c + i at bit i
-        bins = {}
-        last = None
-        # sorted, the nodes of one (H, covered top) pair come together, so
-        # each pair's table is built once and dropped
-        for key in sorted(nodes):
-            pair, base = divmod(key, square)
-            if pair != last:
-                last = pair
-                h_mask, seen = divmod(pair, 1 << k)
-                h = [a for a in range(1, k + 1) if h_mask >> a & 1]
-                # c + i has its partner at k - i, and c + i + a is a top
-                # position when i + a < k
-                allowed = window & ~sum(1 << (k - a) for a in h)
-                table: dict[int, int] = {}
-                sub = allowed
-                while True:
-                    cover = sub
-                    for a in h:
-                        cover |= sub << a
-                    off = ((cover & window | seen).bit_count() * length
-                           + sub.bit_count())
-                    table[off] = table.get(off, 0) + 1
-                    if not sub:
-                        break
-                    sub = (sub - 1) & allowed
-            n = nodes[key]
+    window = (1 << k) - 1  # top position c + i at bit i
+    bins: dict[int, int] = {}
+    for (h_mask, seen), nodes in pairs.items():
+        h = [a for a in range(1, k + 1) if h_mask >> a & 1]
+        # c + i has its partner at k - i, and c + i + a is a top position
+        # when i + a < k
+        allowed = window & ~sum(1 << (k - a) for a in h)
+        table: dict[int, int] = {}
+        sub = allowed
+        while True:
+            cover = sub
+            for a in h:
+                cover |= sub << a
+            off = ((cover & window | seen).bit_count() * length
+                   + sub.bit_count())
+            table[off] = table.get(off, 0) + 1
+            if not sub:
+                break
+            sub = (sub - 1) & allowed
+        for base, n in nodes.items():
             for off, m in table.items():
                 bins[base + off] = bins.get(base + off, 0) + n * m
     # every entry at its least: 1 on S, 2 elsewhere below the final 3
@@ -918,13 +910,15 @@ def _subset_scan(length: int, caps: tuple[int, ...],
     A 1 at p also sets bit j-p (p < j, q >= 4) or j+m-p (p > j, q >= 5)
     of ``values``' field q-2, which every shift carries past ``keep``, so
     the leaf reads X there.  ``sums`` carries bit 0 of field 0, which no
-    sum reaches, so the bar mask 1 bars a slot that a cap dropped.  At q = 3 the slot after j starts at 1,
-    which no sum reaches either, so ``plain`` leaves it out of the forced
-    slots.  Position j is no node: the position before it steps to j+1
-    with j's q in its stored values, and with j = 1 the scan starts at 2
-    with q in its shift.  Children past the last position are binned at
-    once, not pushed; those with T or U slots are collected and sorted
-    after.
+    sum reaches, so the bar mask 1 bars a slot that a cap dropped.  At
+    q = 3 the slot after j starts at 1, which no sum reaches either, so
+    ``plain`` leaves it out of the forced slots.  Position j is no node:
+    the position before it steps to j+1 with j's q in its stored values,
+    and with j = 1 the scan starts at 2 with q in its shift.  One step
+    makes every node's children, the big slot and the low values up to
+    the first barred one; those of the last position go to a list of the
+    node's leaves instead of the stack, and one loop resolves them: a leaf
+    with no T or U slot is binned at once, the others are sorted as above.
     """
     q = caps[j - 1]
     width = length + 1  # m bits: a sum past the length carries
@@ -987,42 +981,28 @@ def _subset_scan(length: int, caps: tuple[int, ...],
     while stack:
         p, values, sums, need, bigs, shift = stack.pop()
         bar, bit, least, nxt, lows = table[p]
-        if nxt <= length:
-            if not sums & bar:
-                stack.append((nxt, values, sums, need | bar, bigs | bit,
-                              shift + least))
-            for low_bar, low_bit, low_shift, v in lows:
-                if sums & low_bar:
-                    break  # a larger low value is barred too
-                new_values = values | low_bit
-                new = new_values << low_shift & keep
-                if not new & need:
-                    stack.append((nxt, new_values, sums | new,
-                                  need | low_bar, bigs, shift + v))
-            continue
-        # the last position: every wrapped sum is known once it is set
-        tees = []  # the leaves with T or U slots, resolved below
+        # the children of the last position are leaves, resolved below
+        kids = stack if nxt <= length else []
         if not sums & bar:
-            slots = bigs | bit
-            if slots & tops:
-                tees.append((values, sums, slots, shift + least))
-            else:
-                key = shift + least, (slots & ~(sums & plain)).bit_count()
-                bins[key] = bins.get(key, 0) + 1
+            kids.append((nxt, values, sums, need | bar, bigs | bit,
+                         shift + least))
         for low_bar, low_bit, low_shift, v in lows:
             if sums & low_bar:
-                break
-            ones = values | low_bit
-            new = ones << low_shift
+                break  # a larger low value is barred too
+            new_values = values | low_bit
+            new = new_values << low_shift & keep
             if not new & need:
-                new |= sums
-                if bigs & tops:
-                    tees.append((ones, new, bigs, shift + v))
-                else:
-                    key = shift + v, (bigs & ~(new & plain)).bit_count()
-                    bins[key] = bins.get(key, 0) + 1
-        for ones, sums, slots, shift in tees:
+                kids.append((nxt, new_values, sums | new, need | low_bar,
+                             bigs, shift + v))
+        if kids is stack:
+            continue
+        # the leaves: every wrapped sum is known
+        for _, ones, sums, _, slots, shift in kids:
             ts = slots & tops
+            if not ts:
+                key = shift, (slots & ~(sums & plain)).bit_count()
+                bins[key] = bins.get(key, 0) + 1
+                continue
             level = sums >> t_m
             ms = (level & before | sums >> u_m & after) & ts
             xs = ones >> mark & ts

@@ -147,31 +147,13 @@ def invariants(word: Sequence[int]) -> SemigroupInvariants:
     )
 
 
-def is_kunz(word: Sequence[int]) -> bool:
-    """Check both Kunz inequality families.  Total: never raises on
-    positive-entry words."""
-    w = tuple(word)
+def _holds(w: tuple[int, ...], c: int) -> bool:
+    """Both inequality families with c added to the left side: every direct
+    sum w_i + w_j + c above w_{i+j}, and every wrapped one w_i + w_j + c + 1
+    above w_{i+j-ell-1}."""
     ell = len(w)
     for i in range(1, ell + 1):
-        wi = w[i - 1]
-        for j in range(i, ell + 1):
-            s = i + j
-            if s <= ell:
-                if wi + w[j - 1] < w[s - 1]:
-                    return False
-            elif s > ell + 1:
-                if wi + w[j - 1] + 1 < w[s - ell - 2]:
-                    return False
-    return True
-
-
-def is_med(word: Sequence[int]) -> bool:
-    """Maximal embedding dimension test: the strict versions of both Kunz
-    inequality families.  Strictness implies the word is Kunz."""
-    w = tuple(word)
-    ell = len(w)
-    for i in range(1, ell + 1):
-        wi = w[i - 1]
+        wi = w[i - 1] + c
         for j in range(i, ell + 1):
             s = i + j
             if s <= ell:
@@ -181,6 +163,18 @@ def is_med(word: Sequence[int]) -> bool:
                 if wi + w[j - 1] + 1 <= w[s - ell - 2]:
                     return False
     return True
+
+
+def is_kunz(word: Sequence[int]) -> bool:
+    """Check both Kunz inequality families.  Total: never raises on
+    positive-entry words."""
+    return _holds(tuple(word), 1)
+
+
+def is_med(word: Sequence[int]) -> bool:
+    """Maximal embedding dimension test: the strict versions of both Kunz
+    inequality families.  Strictness implies the word is Kunz."""
+    return _holds(tuple(word), 0)
 
 
 def contains(word: Sequence[int], n: int) -> bool:
