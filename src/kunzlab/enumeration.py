@@ -14,7 +14,10 @@ MED length query with a depth bound, is one walked box scan instead (see
 :func:`_plans` for why).
 
 Every cell without MED strictness has a closed genus polynomial
-(:func:`_closed_form`): the cell (l, q, j) has x^l (q = 1, j = l),
+(:func:`_closed_form`), kept as bins, each a count n of a term
+x^shift (1+x)^free (1+x+x^2)^u: a count reads them at x = 1, as
+n 2^free 3^u (:func:`_count`), and only a histogram expands them
+(:func:`_expand`).  The cell (l, q, j) has x^l (q = 1, j = l),
 x^(l+1)(1+x)^k (q = 2, k the positions before j still capped at 2) and
 S_j(x)(x+x^2)^(l-j) (q = 3, no cap lowered), where S_j is the genus
 polynomial of the stressed depth-3 words of length j; every other cell
@@ -70,9 +73,13 @@ The small-depth counters :func:`closed_k2`, :func:`closed_k3` and
 :func:`count_depth_le3`, over :func:`count_stressed3` (S_j summed), are
 the paper's explicit formulas.  The engine closes every cell of depth at
 most 3 too, and criterion 4 checks :func:`closed_k2` and :func:`closed_k3`
-against the walker; the formulas stay because, given S_j, they are O(1) in
-f, where :func:`count_words` expands each cell's genus polynomial (one
-binomial per free position) only to sum it.  :func:`tail_heavy_count`,
+against the walker.  The formulas stay because, given S_j, they are O(1)
+in f, where :func:`count_words` plans the query and builds one bin per
+genus of S_j before it reads them at x = 1: over all 1 <= l <= f <= 60,
+with S_j cached, :func:`closed_k3` took 0.3 ms and :func:`count_words` at
+depth 3 took 6.0-6.2 ms (9.0-10.7 ms when it still expanded each cell's
+genus polynomial; best of 15, two runs on a 2-core x86-64 host).
+:func:`tail_heavy_count`,
 :func:`med_count` and :func:`lower_bound_family` serve the paper's bounds
 and the MED cross-check.
 """
@@ -80,6 +87,7 @@ and the MED cross-check.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, chain, islice, product, repeat
@@ -115,6 +123,11 @@ __all__ = [
 # contains lowered would read as a different cell, not as an empty one;
 # _plans drops such a cell.
 Scan = tuple[int, tuple[int, ...], int, int]
+
+# bins {(shift, free, u): n} stand for the genus polynomial, the sum of
+# n x^shift (1+x)^free (1+x+x^2)^u: a count reads it at x = 1 (_count) and
+# a histogram expands it (_expand)
+Bins = dict[tuple[int, int, int], int]
 
 # words an enumeration holds at once, over all its plans' streams together.
 # A larger batch means fewer, larger blocks, each paying one bisect_right per
@@ -529,13 +542,13 @@ def _walked_histogram(query: CountQuery) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _closed_form(scan: Scan) -> list[int] | None:
-    """Genus histogram, indexed by genus, of a cell: a scan with a pin
-    j >= 1 and no MED strictness, its maximum q = caps[j-1] at j.  A box
-    (j = 0) or a MED scan gives ``None``, and :func:`_solve` walks it.
+def _closed_form(scan: Scan) -> Bins | None:
+    """Bins of a cell (see :func:`_expand`): a scan with a pin j >= 1 and
+    no MED strictness, its maximum q = caps[j-1] at j.  A box (j = 0) or a
+    MED scan gives ``None``, and :func:`_solve` walks it.
 
     For q <= 2, and for q = 3 with no cap lowered, the genus polynomial is a
-    sum of terms x^shift (1+x)^free:
+    sum of terms x^shift (1+x)^free, bins with u = 0:
 
     * q = 1: the single word of ones when j = length, else nothing (the
       caps after j are 0);
@@ -554,23 +567,29 @@ def _closed_form(scan: Scan) -> list[int] | None:
         return None
     q = caps[j - 1]
     if q == 1:
-        bins = {(length, 0): 1} if j == length else {}
-    elif q == 2:
-        bins = {(length + 1, caps[:j - 1].count(2)): 1}
-    elif q == 3 and caps == _frobenius_scan(length, 3, j)[1]:
+        return {(length, 0, 0): 1} if j == length else {}
+    if q == 2:
+        return {(length + 1, caps[:j - 1].count(2), 0): 1}
+    if q == 3 and caps == _frobenius_scan(length, 3, j)[1]:
         free = length - j
-        bins = {(g + free, free): c
+        return {(g + free, free, 0): c
                 for g, c in enumerate(_stressed3_scan(j)) if c}
-    else:
-        return list(_subset_scan(length, caps, j))
-    return list(_expand(bins))
+    return _subset_scan(length, caps, j)
 
 
-def _solve(scan: Scan) -> list[int]:
-    """Genus histogram of a whole scan: its closed form when it is a cell,
-    else walked."""
-    hist = _closed_form(scan)
-    return _fold(scan) if hist is None else hist
+def _solve(scan: Scan) -> Bins:
+    """Bins of a whole scan: its closed form when it is a cell, else its
+    walked genus histogram, each genus g with n words the bin (g, 0, 0)."""
+    bins = _closed_form(scan)
+    if bins is None:
+        bins = {(g, 0, 0): n for g, n in enumerate(_fold(scan)) if n}
+    return bins
+
+
+def _count(bins: Bins) -> int:
+    """Number of words in bins: their polynomial (see :func:`_expand`) at
+    x = 1, the sum of n 2^free 3^u."""
+    return sum(n * 3 ** u << free for (_, free, u), n in bins.items())
 
 
 def _sum(hists) -> dict[int, int]:
@@ -588,9 +607,11 @@ def _sum(hists) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _parts(query: CountQuery) -> list[tuple[int, list[int]]]:
-    """The query's words as disjoint parts ``(length, genus histogram)``:
-    MED ones through the lift, else one per plan (see :func:`_solve`)."""
+def _parts(query: CountQuery) -> list[tuple[int, Bins]]:
+    """The query's words as disjoint parts ``(length, bins)``: MED ones
+    through the lift, else one per plan (see :func:`_solve`).  A count reads
+    the bins at x = 1 (:func:`_count`), a histogram expands them
+    (:func:`_expand`)."""
     if query.med:
         return _med_via_membership(query)
     return [(scan[0], _solve(scan)) for scan in _plans(query)]
@@ -600,9 +621,13 @@ def genus_histogram(query: CountQuery) -> dict[int, int]:
     """Exact histogram ``genus -> number of matching words``.
 
     Cells come from closed genus polynomials, MED words through the lift
-    onto closed cells, and the depth-bound boxes are walked.
+    onto closed cells, and the depth-bound boxes are walked.  The parts'
+    bins are merged by key and expanded once.
     """
-    return _sum(hist for _, hist in _parts(query))
+    bins: Counter[tuple[int, int, int]] = Counter()
+    for _, part in _parts(query):
+        bins.update(part)
+    return {g: n for g, n in enumerate(_expand(bins)) if n}
 
 
 def count_and_genus(query: CountQuery) -> tuple[int, int]:
@@ -613,14 +638,14 @@ def count_and_genus(query: CountQuery) -> tuple[int, int]:
 
 def count_words(query: CountQuery) -> int:
     """Number of Kunz words matching the query, in one process."""
-    return sum(sum(hist) for _, hist in _parts(query))
+    return sum(_count(bins) for _, bins in _parts(query))
 
 
 def count_by_length(query: CountQuery) -> dict[int, int]:
     """Number of matching words of each length, ``length -> count``."""
     counts: dict[int, int] = {}
-    for length, hist in _parts(query):
-        counts[length] = counts.get(length, 0) + sum(hist)
+    for length, bins in _parts(query):
+        counts[length] = counts.get(length, 0) + _count(bins)
     return {length: n for length, n in sorted(counts.items()) if n}
 
 
@@ -697,11 +722,22 @@ def _merge_blocks(streams, size: int):
 # ---------------------------------------------------------------------------
 
 
-def _expand(bins: dict[tuple[int, int], int]) -> tuple[int, ...]:
-    """The polynomial sum of n x^shift (1+x)^free over ``{(shift, free): n}``,
-    as its coefficients."""
-    poly = [0] * (max((shift + free for shift, free in bins), default=-1) + 1)
-    for (shift, free), n in bins.items():
+def _expand(bins: Bins) -> tuple[int, ...]:
+    """The polynomial sum of n x^shift (1+x)^free (1+x+x^2)^u over the
+    bins ``{(shift, free, u): n}``, as its coefficients, indexed by genus.
+
+    (1+x+x^2)^u is the sum over k of C(u, k) x^k (1+x)^k, so each bin is
+    first folded into bins with u = 0, merged by (shift, free), and each
+    merged bin then costs one binomial per free position.
+    """
+    merged: dict[tuple[int, int], int] = {}
+    for (shift, free, u), n in bins.items():
+        for k in range(u + 1):
+            key = shift + k, free + k
+            merged[key] = merged.get(key, 0) + n * comb(u, k)
+    poly = [0] * (max((shift + free for shift, free in merged),
+                      default=-1) + 1)
+    for (shift, free), n in merged.items():
         for i in range(free + 1):
             poly[shift + i] += n * comb(free, i)
     return tuple(poly)
@@ -796,16 +832,16 @@ def _stressed3_scan(length: int) -> tuple[int, ...]:
                 bins[base + off] = bins.get(base + off, 0) + n * m
     # every entry at its least: 1 on S, 2 elsewhere below the final 3
     least = 2 * length + 1
-    shifted: dict[tuple[int, int], int] = {}
+    shifted: Bins = {}
     for key, n in bins.items():
         ubits, size = divmod(key, length)
-        shifted[least - size, length - 1 - ubits] = n
+        shifted[least - size, length - 1 - ubits, 0] = n
     return _expand(shifted)
 
 
 def _subset_scan(length: int, caps: tuple[int, ...],
-                 j: int) -> tuple[int, ...]:
-    """Genus polynomial of a cell of depth q >= 3, by genus: the scan
+                 j: int) -> Bins:
+    """Bins (see :func:`_expand`) of a cell of depth q >= 3: the scan
     ``(length, caps, j, 0)``, ``_frobenius_scan(length, q, j)`` with any
     caps but the pinned one lowered, as by ``contains``.
 
@@ -842,7 +878,7 @@ def _subset_scan(length: int, caps: tuple[int, ...],
     there.  Whether a big slot is forced is settled at the leaf, once every
     wrapped sum is known.  A leaf contributes x^shift (1+x)^free, shift
     counting every entry at its least value and free the big slots left
-    free; leaves are binned by (shift, free).
+    free; leaves are binned by (shift, free, 0).
 
     At q >= 4 the top low value before j, q-2, meets the rest only through
     a 1: (q-2)+1 lands at level q-1, and every other sum with it, (q-2)+2
@@ -880,7 +916,8 @@ def _subset_scan(length: int, caps: tuple[int, ...],
     transfer over the linked slots, rotated, memoized within the call by
     its masks, and the other slots stand alone.  So a leaf gives one bin
     (shift, free, u) per outcome of its transfer, u its lone slots of the
-    last kind, and (1+x+x^2)^u is the sum over k of C(u, k) x^k (1+x)^k.
+    last kind, each a factor 1+x+x^2, which a count reads as 3 and a
+    histogram expands (:func:`_expand`).
     At q = 3 the top low value is 1 on both sides of j, so q = 3 keeps the
     two-way branch.
 
@@ -972,9 +1009,8 @@ def _subset_scan(length: int, caps: tuple[int, ...],
         table[p] = bar, bit, least + skip, nxt, lows
     start = 2 if j == 1 else 1
     if start > length:
-        return _expand({(q, 0): 1})  # the word (q)
-    bins: dict[tuple[int, int], int] = {}
-    tbins: dict[tuple[int, int, int], int] = {}  # leaves with slots, by u
+        return {(q, 0, 0): 1}  # the word (q)
+    bins: Bins = {}
     memo: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}  # transfers
     # stack entries: (next position, values, sums, need, big slots, shift)
     stack = [(start, 0, sums, below(j, q), 0, q if j == 1 else 0)]
@@ -1000,7 +1036,7 @@ def _subset_scan(length: int, caps: tuple[int, ...],
         for _, ones, sums, _, slots, shift in kids:
             ts = slots & tops
             if not ts:
-                key = shift, (slots & ~(sums & plain)).bit_count()
+                key = shift, (slots & ~(sums & plain)).bit_count(), 0
                 bins[key] = bins.get(key, 0) + 1
                 continue
             level = sums >> t_m
@@ -1028,7 +1064,7 @@ def _subset_scan(length: int, caps: tuple[int, ...],
             if not linked:
                 key = (shift + xs.bit_count(), (free | fs ^ xs).bit_count(),
                        (big & ~xs).bit_count())
-                tbins[key] = tbins.get(key, 0) + 1
+                bins[key] = bins.get(key, 0) + 1
                 continue
             ts, ms, xs, fs = ((x >> turn | x << back) & window
                               for x in (ts, ms, xs, fs))
@@ -1042,13 +1078,8 @@ def _subset_scan(length: int, caps: tuple[int, ...],
                 out = memo[masks] = _top_slots(*masks)
             for (s, f), n in out.items():
                 key = shift + s, free + f, u
-                tbins[key] = tbins.get(key, 0) + n
-    # (1+x+x^2)^u is the sum over k of C(u, k) x^k (1+x)^k
-    for (shift, free, u), n in tbins.items():
-        for k in range(u + 1):
-            key = shift + k, free + k
-            bins[key] = bins.get(key, 0) + n * comb(u, k)
-    return _expand(bins)
+                bins[key] = bins.get(key, 0) + n
+    return bins
 
 
 def _top_slots(ts: int, ms: int, xs: int, fs: int,
@@ -1152,9 +1183,9 @@ def closed_k3(frobenius: int, length: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _med_via_membership(query: CountQuery) -> list[tuple[int, list[int]]]:
+def _med_via_membership(query: CountQuery) -> list[tuple[int, Bins]]:
     """The MED words of a query through the lift, as parts ``(length,
-    genus histogram)``, one per plan of each lifted cell.
+    bins)`` (see :func:`_parts`), one per plan of each lifted cell.
 
     A MED semigroup S with multiplicity m and Frobenius number f is
     {0} u (m + T), where T has Frobenius number f - m and contains m; the
@@ -1164,7 +1195,8 @@ def _med_via_membership(query: CountQuery) -> list[tuple[int, list[int]]]:
     :func:`_cells` select the pairs (f, m) that the depth, stressed and
     length filters allow, and S contains n > 0 exactly when n >= m and T
     contains n - m.  So each cell adds the closed plans of one
-    ``contains`` query on T, shifted by the length in genus.
+    ``contains`` query on T, shifted by the length in genus: the length is
+    added to each bin's shift.
     """
     _require_finite(query)
     contains = [n for n in query.contains if n]
@@ -1176,10 +1208,11 @@ def _med_via_membership(query: CountQuery) -> list[tuple[int, list[int]]]:
         if q > 1:
             lifted = CountQuery(frobenius=m * (q - 2) + j,
                                 contains=(m, *[n - m for n in contains]))
-            parts += [(ell, [0] * ell + _solve(scan))
+            parts += [(ell, {(shift + ell, free, u): n for (shift, free, u), n
+                             in _solve(scan).items()})
                       for scan in _plans(lifted)]
         elif j == ell:
-            parts.append((ell, [0] * ell + [1]))
+            parts.append((ell, {(ell, 0, 0): 1}))
     return parts
 
 

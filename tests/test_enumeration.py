@@ -6,6 +6,7 @@ closed forms, so agreement here pins both down.
 """
 
 import json
+import random
 from collections import Counter
 from dataclasses import replace
 from itertools import chain, islice, product
@@ -479,6 +480,11 @@ def _trimmed(hist: list[int]) -> list[int]:
     return hist
 
 
+def _closed(scan) -> list[int]:
+    # a cell's closed form, its bins expanded into a genus histogram
+    return list(enumeration._expand(enumeration._closed_form(scan)))
+
+
 def test_closed_genus_polynomials_match_walker():
     # every scan of the Frobenius queries, and of the fixed-multiplicity
     # reference cells (some of them longer than f), up to f = 30, every
@@ -500,7 +506,7 @@ def test_closed_genus_polynomials_match_walker():
         closed += 1
         depth4 += profile[0] == 4
         deep += profile[0] >= 5
-        assert _trimmed(enumeration._closed_form(scan)) == \
+        assert _trimmed(_closed(scan)) == \
             _trimmed(enumeration._fold(scan))
     assert closed > 300
     assert depth4 >= 78
@@ -519,8 +525,7 @@ def _brute_closed_forms(q: int, max_length: int) -> None:
                 j = inv.frobenius - (q - 1) * inv.multiplicity
                 want[j][inv.genus] += 1
         for j, hist in want.items():
-            got = enumeration._closed_form(
-                enumeration._frobenius_scan(length, q, j))
+            got = _closed(enumeration._frobenius_scan(length, q, j))
             assert {g: n for g, n in enumerate(got) if n} == hist
 
 
@@ -538,8 +543,22 @@ def test_subset_scan_matches_tuned_cases():
     for length in range(1, 11):
         for j in range(1, length + 1):
             scan = enumeration._frobenius_scan(length, 3, j)
-            assert _trimmed(list(enumeration._subset_scan(*scan[:3]))) == \
-                _trimmed(enumeration._closed_form(scan))
+            assert _trimmed(list(enumeration._expand(
+                enumeration._subset_scan(*scan[:3])))) == \
+                _trimmed(_closed(scan))
+
+
+def test_bins_at_one_match_their_expansion():
+    # a cell's count reads its bins at x = 1 and its histogram expands
+    # them: random bins, most with a (1+x+x^2)^u factor, give the same
+    # total both ways; 2(1+x)(1+x+x^2) = 2 + 4x + 4x^2 + 2x^3 pins the fold
+    rng = random.Random(4040)
+    for _ in range(500):
+        bins = {(rng.randrange(9), rng.randrange(7), rng.randrange(6)):
+                rng.randrange(1, 100) for _ in range(rng.randrange(1, 8))}
+        assert enumeration._count(bins) == sum(enumeration._expand(bins))
+    assert enumeration._expand({(0, 1, 1): 2}) == (2, 4, 4, 2)
+    assert enumeration._expand({(2, 0, 0): 1, (0, 0, 1): 1}) == (1, 1, 2)
 
 
 def test_filtered_scans_keep_the_walker():
@@ -568,8 +587,11 @@ def test_capped_cells_match_walker():
                                                       contains=(n,))):
                 profile = _cell(scan)
                 assert profile is not None
-                assert _trimmed(enumeration._closed_form(scan)) == \
-                    _trimmed(enumeration._fold(scan))
+                bins = enumeration._closed_form(scan)
+                walked = enumeration._fold(scan)
+                assert _trimmed(list(enumeration._expand(bins))) == \
+                    _trimmed(walked)
+                assert enumeration._count(bins) == sum(walked)
                 cells += 1
                 capped += scan != enumeration._frobenius_scan(scan[0],
                                                               *profile)
@@ -595,7 +617,7 @@ def test_deep_cells_match_walker():
                             lowered = caps[:p] + (cap,) + caps[p + 1:]
                             scans.add((length, lowered, j, 0))
     for scan in scans:
-        assert _trimmed(enumeration._closed_form(scan)) == \
+        assert _trimmed(_closed(scan)) == \
             _trimmed(enumeration._fold(scan))
     assert len(scans) == 765
 
@@ -622,8 +644,10 @@ def test_top_slots_match_walker(monkeypatch):
                         lowered = caps[:p] + (cap,) + caps[p + 1:]
                         scans.add((length, lowered, j, 0))
     for scan in scans:
-        assert _trimmed(enumeration._closed_form(scan)) == \
-            _trimmed(enumeration._fold(scan))
+        bins = enumeration._closed_form(scan)
+        walked = enumeration._fold(scan)
+        assert _trimmed(list(enumeration._expand(bins))) == _trimmed(walked)
+        assert enumeration._count(bins) == sum(walked)
     assert len(scans) == 1404
     assert len(coupled) > 1000
 
@@ -703,8 +727,10 @@ def test_u_slots_match_walker(monkeypatch):
     for length, caps, j, strict in scans:
         ran.clear()
         scan = length, caps, j, strict
-        assert _trimmed(enumeration._closed_form(scan)) == \
-            _trimmed(enumeration._fold(scan))
+        bins = enumeration._closed_form(scan)
+        walked = enumeration._fold(scan)
+        assert _trimmed(list(enumeration._expand(bins))) == _trimmed(walked)
+        assert enumeration._count(bins) == sum(walked)
         after = (1 << length - j) - 1
         with_u += sum(1 for masks in ran if masks[0] & after)
         with_t += sum(1 for masks in ran if masks[0] & after
@@ -824,7 +850,7 @@ def test_stressed3_scan_matches_subset_scan():
     for length in range(1, 21):
         scan = enumeration._frobenius_scan(length, 3, length)
         assert enumeration._stressed3_scan(length) == \
-            enumeration._subset_scan(*scan[:3])
+            enumeration._expand(enumeration._subset_scan(*scan[:3]))
 
 
 def test_stressed3_totals_past_the_checked_rows():
