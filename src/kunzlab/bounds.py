@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, sqrt
+from math import isqrt, sqrt
 from typing import NamedTuple
 
 from .enumeration import TailHeavySpec
@@ -123,21 +123,24 @@ def check_c_monotone(q_max: int = 10_000, r_grid=(0, Fraction(1, 2), 1),
     constants and r = a/b, which is decided in integers.  Second, for each
     q in 3..interpolation_q_max and r in the grid, the interpolation
     F(t) = (c_q^t c_{q-1}^(1-t))^(1/(q+t-r)) strictly decreases along the
-    t-grid, decided the same way after clearing denominators.
+    t-grid.
 
     Both statements compare logarithms: the sequence step at (q, r) is
     ln s_q > (q+r) ln(s_{q+1}/s_q), and the t-derivative of ln F has the
     sign of (A-B)(q-r) - B with A = ln c_q and B = ln c_{q-1}, the same for
-    every t, so ln s_{q-1} > (q-r) ln(s_q/s_{q-1}) makes F strictly
-    decreasing on the whole grid.  :func:`_log_dominates` settles most
-    instances of either from first-order bounds; every other instance is
-    decided by :func:`_exact_greater` in exact integers.  The comparison
-    counts include both.
+    every t.  So F falls between two distinct grid points exactly when
+    ln s_{q-1} > (q-r) ln(s_q/s_{q-1}), the sequence step at (q-1, 1-r), and
+    each interpolation instance is decided as that step; a repeated t is a
+    pair F(t) > F(t), which fails at every q.  :func:`_log_dominates`
+    settles most steps from first-order bounds; every other step is decided
+    by :func:`_exact_greater` in exact integers.  The comparison counts
+    include both; the interpolation count adds, per (q, r), the grid's
+    adjacent pairs up to and including the first failing one.
 
     The log test fails only at small q (q <= 4 on every grid tried), but
-    the exponents it leaves to the exact route grow with the r- and
-    t-denominators: grids with denominators in the millions would build
-    very large integers there.
+    the exponents it leaves to the exact route grow with the r-denominators:
+    r-grids with denominators in the millions would build very large
+    integers there.  The t-grid reaches no exponent.
 
     Returns a report carrying the first violated instance, if any.
     """
@@ -171,34 +174,24 @@ def check_c_monotone(q_max: int = 10_000, r_grid=(0, Fraction(1, 2), 1),
             break
 
     interp = 0
-    if violation is None:
-        denom = 1
-        for t in t_values:
-            denom = denom * t.denominator // gcd(denom, t.denominator)
-        u_values = [int(t * denom) for t in t_values]
-        pairs = len(u_values) - 1
-        # a repeated t is a pair F(t) > F(t) that no derivative can settle
-        distinct = len(set(u_values)) == len(u_values)
+    pairs = len(t_values) - 1
+    if violation is None and pairs > 0:
+        # where the step holds, only a repeated t fails: F(t) > F(t) is false
+        repeat = next((i for i in range(pairs)
+                       if t_values[i] == t_values[i + 1]), pairs)
         for r in r_values:
             a, b = r.numerator, r.denominator
             s_q = _squared(2)
             for q in range(3, interpolation_q_max + 1):
                 s_p, s_q = s_q, _squared(q)
-                if distinct and _log_dominates(s_p, s_q, b * q - a, b):
-                    interp += pairs
-                    continue
-                exps = [q * denom * b + u * b - a * denom for u in u_values]
-                for (u1, e1), (u2, e2) in zip(zip(u_values, exps),
-                                              zip(u_values[1:], exps[1:])):
-                    interp += 1
-                    if not _exact_greater(
-                            [(s_q, u1 * e2), (s_p, (denom - u1) * e2)],
-                            [(s_q, u2 * e1), (s_p, (denom - u2) * e1)]):
-                        violation = (
-                            f"interpolation failed at q={q}, r={r}, "
-                            f"t={Fraction(u1, denom)}..{Fraction(u2, denom)}")
-                        break
-                if violation:
+                e = b * q - a
+                step = (_log_dominates(s_p, s_q, e, b)
+                        or _exact_greater([(s_p, e + b)], [(s_q, e)]))
+                fail = repeat if step else 0
+                interp += min(fail + 1, pairs)
+                if fail < pairs:
+                    violation = (f"interpolation failed at q={q}, r={r}, "
+                                 f"t={t_values[fail]}..{t_values[fail + 1]}")
                     break
             if violation:
                 break
@@ -210,6 +203,10 @@ def check_c_monotone(q_max: int = 10_000, r_grid=(0, Fraction(1, 2), 1),
 # ---------------------------------------------------------------------------
 # explicit bounds
 # ---------------------------------------------------------------------------
+
+
+# per-step factor of the refined stressed bound; stats' series tails use it
+_DECAY = Fraction(11, 12)
 
 
 class StressedBounds(NamedTuple):
@@ -226,7 +223,7 @@ def stressed3_upper_bounds(length: int) -> StressedBounds:
     if length < 1:
         raise ValueError("length must be at least 1")
     naive = Fraction(2 ** ((3 * length - 3) // 2))
-    return StressedBounds(naive, naive * Fraction(11, 12) ** ((length - 1) // 2))
+    return StressedBounds(naive, naive * _DECAY ** ((length - 1) // 2))
 
 
 def _iroot(n: int, k: int) -> int:

@@ -11,7 +11,8 @@ each parity r of f, over the stressed lengths j = 2 - r, 4 - r, ...:
 where st(j) counts the stressed depth-3 words of length j and c(j) is 1 for
 Backelin's constants, -j/2 for the mean multiplicity deviation and
 avg(j) - (9j+6)/4 for the mean genus deviation, avg(j) being the average
-genus of those words.  The refined termwise bound
+genus of those words.  The refined termwise bound of
+:func:`~kunzlab.bounds.stressed3_upper_bounds`,
 st(j) <= 2^floor((3j-3)/2) * (11/12)^floor((j-1)/2) gives
 st(j) * w(j) <= (1/8) * (11/12)^floor((j-1)/2), so the terms from a length
 ``first`` on sum to at most S0 = (3/2) * (11/12)^floor((first-1)/2), and j
@@ -28,6 +29,7 @@ from fractions import Fraction
 from math import floor, ceil
 from typing import NamedTuple
 
+from .bounds import _DECAY
 from .enumeration import (count_by_length, count_stressed3, genus_histogram,
                           stressed3_genus_total)
 from .words import CountQuery
@@ -44,7 +46,6 @@ __all__ = [
     "stressed3_avg_genus",
 ]
 
-_DECAY = Fraction(11, 12)  # per-step factor of the refined termwise bound
 _AVG_GENUS_GUARD = 28      # largest head length the average-genus scan accepts
 _PARITIES = ("even", "odd")
 _MU_GAMMA_HEADS = {"mu0": Fraction(1), "mu1": Fraction(3, 4),

@@ -6,6 +6,7 @@ from math import lcm
 import pytest
 
 from kunzlab.bounds import (
+    _DEFAULT_T_GRID,
     _exact_greater,
     _log_dominates,
     check_c_monotone,
@@ -88,6 +89,31 @@ def test_log_shortcut_is_sound_on_the_interpolation():
     assert decided == 4 * 198 - 5  # all but q = 3 at r = 0 and q = 4
 
 
+def test_interpolation_is_the_sequence_step():
+    # F(t1) > F(t2) for distinct t1 < t2 exactly when the sequence step
+    # s_p^(b(p+1)+a) > s_{p+1}^(bp+a) holds at p = q-1, a/b = 1-r; every step
+    # holds for r in [0, 1], so r = -7/2 and -10 bring failing ones.  q stops
+    # at the default interpolation range: the oracle's integers grow with q
+    # times the t-denominators (q <= 400 took some 30 s on a 2-core host)
+    r_grid = SHORTCUT_R_GRID + (Fraction(2, 7), Fraction(-7, 2),
+                                Fraction(-10))
+    grids = (_DEFAULT_T_GRID,
+             (Fraction(0), Fraction(1, 7), Fraction(1, 3), Fraction(1)))
+    agreed = failed = 0
+    for r in r_grid:
+        a, b = (1 - r).numerator, (1 - r).denominator
+        for q in range(3, 201):
+            s_p, s_q = cq(q - 1).squared, cq(q).squared
+            step = s_p ** (b * q + a) > s_q ** (b * (q - 1) + a)
+            failed += not step
+            for grid in grids:
+                for t1, t2 in zip(grid, grid[1:]):
+                    assert _interpolation_holds(q, r, t1, t2) == step, \
+                        (q, r, t1, t2)
+                    agreed += 1
+    assert (agreed, failed) == (7 * 7 * 198, 12)
+
+
 def _fraction_log_test(s_small: int, s_big: int, k: Fraction) -> bool:
     """The log test with its exponent as one rational, restated here."""
     return ((s_small.bit_length() - 1) * 693 * s_small * k.denominator
@@ -113,6 +139,28 @@ def test_repeated_t_is_still_a_violation():
     # F(t) > F(t) fails, and no shortcut may skip it
     report = check_c_monotone(10, t_grid=(0, Fraction(1, 2), Fraction(1, 2)))
     assert report.violation == "interpolation failed at q=3, r=0, t=1/2..1/2"
+    assert report.interpolation_comparisons == 2  # through the failing pair
+
+
+def test_empty_t_grid_settles_nothing():
+    report = check_c_monotone(10, t_grid=())
+    assert report.ok
+    assert report.interpolation_comparisons == 0
+
+
+def test_t_denominators_reach_no_exponent():
+    # the t-grid is read only for its adjacent pairs, so a denominator of
+    # 10^9 + 7 costs what 4 does
+    for q_max in (10, 200):
+        huge = check_c_monotone(
+            q_max, t_grid=(0, Fraction(1, 10 ** 9 + 7), Fraction(1, 2), 1))
+        small = check_c_monotone(
+            q_max, t_grid=(0, Fraction(1, 4), Fraction(1, 2), 1))
+        assert huge.ok and small.ok
+        assert (huge.sequence_comparisons, huge.interpolation_comparisons,
+                huge.violation) == (small.sequence_comparisons,
+                                    small.interpolation_comparisons,
+                                    small.violation)
 
 
 def test_large_exponent_grid_is_decided_exactly():
