@@ -20,18 +20,21 @@ n 2^free 3^u (:func:`_count`), and only a histogram expands them
 (:func:`_expand`).  The cell (l, q, j) has x^l (q = 1, j = l),
 x^(l+1)(1+x)^k (q = 2, k the positions before j still capped at 2) and
 S_j(x)(x+x^2)^(l-j) (q = 3, no cap lowered), where S_j is the genus
-polynomial of the stressed depth-3 words of length j; every other cell
-of depth q >= 3 has its polynomial from a subset scan.  By the paper's lower
-bound, an entry in the upper half of the range never breaks an inequality,
-and a lowered cap keeps that true, so each entry is either low or one
-two-valued big slot, and only low+low sums can fail: :func:`_subset_scan`
-holds that rule for every depth and every cap, and :func:`_stressed3_scan`
-(S_j) is its tuned q = 3 case.  At depth 4 and more the subset scan does
-not branch on the top low value before the pin, q-2, which meets the rest
-only through a 1: it leaves each such position one slot {q-2, q-1, q}.  At
-depth 5 and more it does the same after the pin with q-3, in one slot
-{q-3, q-2, q-1}, and it settles all those slots at the leaf.  The paper's
-count floor((q+1)^2/4)^(f/(2q-2)) makes depth 2 and depth 3 (about 2^(f/2)
+polynomial of the stressed depth-3 words of length j; an uncapped depth-4
+cell whose pin sits in the first half, 2j <= l + 1, has its polynomial from
+a search over its 1s (:func:`_ones_scan`), and every other cell of depth
+q >= 3 from a subset scan.  By the paper's lower bound, an entry in the
+upper half of the range never breaks an inequality, and a lowered cap keeps
+that true, so each entry is either low or one two-valued big slot, and only
+low+low sums can fail: :func:`_subset_scan` holds that rule for every depth
+and every cap, and :func:`_stressed3_scan` (S_j) and :func:`_ones_scan` are
+its tuned uncapped cases at q = 3 and q = 4, where every entry is a 1 or a
+slot.  At depth 4 and more the subset scan does not branch on the top low
+value before the pin, q-2, which meets the rest only through a 1: it leaves
+each such position one slot {q-2, q-1, q}.  At depth 5 and more it does the
+same after the pin with q-3, in one slot {q-3, q-2, q-1}, and it settles
+all those slots at the leaf.  The paper's count
+floor((q+1)^2/4)^(f/(2q-2)) makes depth 2 and depth 3 (about 2^(f/2)
 words) outgrow every deeper layer, and S_j is the paper's stressed table,
 which is why that case is tuned: it searches the positions of the 1s only up
 to about the last quarter of the word, and bins that quarter from one table,
@@ -558,9 +561,34 @@ def _closed_form(scan: Scan) -> Bins | None:
     * q = 3: the head up to position j is a stressed depth-3 word and the
       tail is free over {1,2}, so S_j(x) (x+x^2)^(length-j).
 
-    Every other cell comes from :func:`_subset_scan`.
-    :func:`_cell_words` reads the words of the uncapped q <= 3 cells from
-    the same products.
+    An uncapped q = 4 cell with its pin in the first half, 2j <= length + 1,
+    comes from the search over its 1s (:func:`_ones_scan`), and every other
+    cell from :func:`_subset_scan`.  :func:`_cell_words` reads the words of
+    the uncapped q <= 3 cells from the same products.
+
+    The cut is measured: the search over 1s beats the subset scan on every
+    uncapped q = 4 cell with 2j <= length + 1 tried, and its lead shrinks
+    as the pin moves on, since the transfers over the T slots before the
+    pin grow with j.  Subset scan time over search time, best of 2 to 7 in
+    one process on a 2-core x86-64 host:
+
+    ======  ======================  ======================
+    length  last routed pin         next pin
+    ======  ======================  ======================
+    12      j = 6: 1.79             j = 7: 1.29
+    16      j = 8: 1.71             j = 9: 1.40
+    20      j = 10: 1.53            j = 11: 1.16
+    24      j = 12: 1.81            j = 13: 1.06
+    26      j = 13: 1.48            j = 14: 1.10
+    27      j = 14: 1.28
+    28      j = 14: 2.04
+    ======  ======================  ======================
+
+    The next pin still gains here, but less, down to 1.06 at length 24, so
+    the cut keeps one pin of margin.  Early pins gain the most: 5-14x at
+    (24..28, 4, 3..9).  Late pins keep the scan: their cost is the T slots,
+    which the two settle alike, and the same ratio read 0.68-1.08 at
+    (16, 4, 12), (18, 4, 14), (20, 4, 15) and (22, 4, 16).
     """
     length, caps, j, strict = scan
     if not j or strict:
@@ -574,6 +602,9 @@ def _closed_form(scan: Scan) -> Bins | None:
         free = length - j
         return {(g + free, free, 0): c
                 for g, c in enumerate(_stressed3_scan(j)) if c}
+    if q == 4 and 2 * j <= length + 1 and \
+            caps == _frobenius_scan(length, 4, j)[1]:
+        return _ones_scan(length, j)
     return _subset_scan(length, caps, j)
 
 
@@ -772,9 +803,10 @@ def _stressed3_scan(length: int) -> tuple[int, ...]:
 
     This is the rule set of :func:`_subset_scan` for q = 3, j = length and
     no lowered cap, tuned: the only low value is 1, and the big slot {2,3}
-    is forced to 2 exactly on S+S.  Every other cell of depth 3 or more
-    runs in :func:`_subset_scan` itself, and :func:`_stressed3_words` reads
-    the same rule forward to list the words.
+    is forced to 2 exactly on S+S.  :func:`_ones_scan` is the same search
+    at q = 4 with an early pin, :func:`_subset_scan` runs every other cell
+    of depth 3 or more, and :func:`_stressed3_words` reads the same rule
+    forward to list the words.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
@@ -921,9 +953,10 @@ def _subset_scan(length: int, caps: tuple[int, ...],
     At q = 3 the top low value is 1 on both sides of j, so q = 3 keeps the
     two-way branch.
 
-    :func:`_stressed3_scan` (q = 3, the head up to j, no cap lowered) is
-    the tuned special case of these rules; every other cell of depth q >= 3
-    runs here.
+    :func:`_stressed3_scan` (q = 3, the head up to j, no cap lowered) and
+    :func:`_ones_scan` (q = 4, no cap lowered, 2j <= length + 1) are the
+    tuned special cases of these rules; every other cell of depth q >= 3
+    runs here, and so may those two, as their oracle.
 
     Sums are kept by level in one integer of m-bit fields, m = ``width`` =
     length+1: field i holds at bit t the positions t that receive a low+low
@@ -1082,6 +1115,179 @@ def _subset_scan(length: int, caps: tuple[int, ...],
     return bins
 
 
+def _ones_scan(length: int, j: int) -> Bins:
+    """Bins (see :func:`_expand`) of the uncapped depth-4 cell
+    ``_frobenius_scan(length, 4, j)``, by a search over its 1s.
+
+    These are :func:`_subset_scan`'s rules at q = 4 with no cap lowered.
+    Every position but j holds a 1 or a slot: before j the T slot
+    {2, 3, 4}, after j the big slot {2, 3}.  So a word is read from S, its
+    set of 1s: B before j and A after it, with m = length + 1.
+
+    * No b + b' = j and no a + a' = m + j (repeats allowed): 1 + 1, and
+      1 + 1 + 1 wrapped, fall short of the 4 at j.  Nothing else reaches j:
+      a + b = m + j would need a > length, and b + b' < m + j.
+    * A slot after j is forced to 2 where a direct sum s + s' lands, and is
+      free otherwise.  A 1 is never barred, and a 2 after j meets nothing:
+      its sums reach 3 after j or 4 wrapped.
+    * The T slots are settled by :func:`_top_slots`, unrotated, with M the
+      direct sums B + B below j (a 2 there), X the positions j - b (a 2
+      there breaks j) and F the positions outside M that a wrapped sum
+      s + s' - m reaches (a 3 there).  M meeting X leaves no word.
+
+    The search takes each valid B, then searches A, and bins A's leaves by
+    (F, |S|, free slots after j).  A T slot that no 1 links (see
+    :func:`_subset_scan`) stands alone, so the transfer runs over the
+    linked T slots only, once per B and per F restricted to them.  Every
+    entry at its least gives the shift 2 length + 2 - |S|: 2 on each slot,
+    1 on each 1 and the 4 at j.
+
+    As in :func:`_stressed3_scan`, the search over A stops at the cut
+    c = length + 1 - k and bins the k top positions c..length in bulk, with
+    k = max((length - j - 3) // 4, 0).  Shifted by j, the bar is
+    p + p' != L, L = length + 1 - j, S_L's own, and 2k < L, so a top
+    position p meets the rest only through B and H, the 1s in j+1..j+k:
+    its partner m + j - p lies in j+1..j+k, a direct sum p + s needs
+    s < k, a wrapped sum lands before j only for s < j + k, and two top
+    positions sum past every rule.  So A's nodes at the cut are binned by
+    (H, covered top positions), and within a pair by (F, |S|, free slots
+    below the cut).  Each pair then expands from a table over the top
+    subsets T whose partners miss H: T adds |T| to |S|, its wrapped sums
+    with B and H to F, and the top positions T u (T + S) covers.
+
+    Time over :func:`_subset_scan`'s on the same cell by window size k,
+    best of 3 in one process on a 2-core x86-64 host (* the rule's k):
+
+    ============  =====  =====  =====  =====  =====  =====
+    cell          k = 0  1      2      3      4      5
+    ============  =====  =====  =====  =====  =====  =====
+    (14, 4, 3)    0.40   0.36   0.33*  0.34   0.38
+    (18, 4, 3)    0.37   0.15   0.12   0.11*  0.11   0.22
+    (22, 4, 3)    0.30   0.31   0.26   0.22   0.18*  0.16
+    (28, 4, 3)    0.32   0.17   0.11   0.07   0.06   0.05*
+    (27, 4, 6)    0.25   0.16   0.18   0.10   0.14*  0.13
+    (26, 4, 9)    0.18   0.19   0.16   0.14*  0.17   0.17
+    (25, 4, 12)   0.47   0.45   0.60*  0.53   0.40
+    ============  =====  =====  =====  =====  =====  =====
+
+    Past j of about 9 the transfers, not the leaves, take most of the time,
+    and no k moves it much.
+    """
+    m = length + 1
+    before = (1 << j) - 2  # bits 1 .. j-1
+    after = (1 << m) - (1 << (j + 1))  # bits j+1 .. length
+    pin, bar = 1 << j, 1 << (m + j)
+    least = 2 * length + 2
+    k = max((length - j - 3) // 4, 0)
+    cut = m - k
+    tops = ((1 << k) - 1) << cut  # bits cut .. length
+    heads = ((1 << k) - 1) << (j + 1)  # bits j+1 .. j+k, the tops' partners
+    below = after & ((1 << cut) - 1)  # bits j+1 .. cut-1
+    bins: Bins = {}
+    # stack entries: (next position, B mask, B + B mask, X mask, |B|); an
+    # entry leaves out every position up to j, pushing each branch that
+    # puts one in B instead
+    stack = [(1, 0, 0, 0, 0)]
+    while stack:
+        p, ones, sums, xs, size = stack.pop()
+        while p < j:
+            bit = 1 << p
+            new_ones = ones | bit
+            new_sums = sums | new_ones << p
+            if not new_sums & pin:
+                stack.append((p + 1, new_ones, new_sums,
+                              xs | 1 << (j - p), size + 1))
+            p += 1
+        ts = before & ~ones
+        ms = sums & ts
+        if ms & xs:
+            continue  # a slot must hold 2 and may not
+        wrap = ts & ~ms
+        # A's nodes at the cut by (H, covered tops, F, shift, free slots
+        # below the cut); the same stack, with S and S + S over both sides
+        # of j
+        nodes: dict[tuple[int, int, int, int, int], int] = {}
+        tail = [(j + 1, ones, sums, size)]
+        while tail:
+            p, s_mask, s_sums, n = tail.pop()
+            while p < cut:
+                bit = 1 << p
+                new_s = s_mask | bit
+                new_sums = s_sums | new_s << p
+                if not new_sums & bar:
+                    tail.append((p + 1, new_s, new_sums, n + 1))
+                p += 1
+            key = (s_mask & heads, s_sums & tops, s_sums >> m & wrap,
+                   least - n, (below & ~(s_mask | s_sums)).bit_count())
+            nodes[key] = nodes.get(key, 0) + 1
+        # the leaves by (F, shift, free slots after j), each pair of the
+        # nodes expanded from its table
+        tables: dict[int, dict[tuple[int, int, int], int]] = {}
+        pairs: dict[tuple[int, int], dict[tuple[int, int, int], int]] = {}
+        leaves: dict[tuple[int, int, int], int] = {}
+        for (h, seen, fs, shift, free), n in nodes.items():
+            pair = pairs.get((h, seen))
+            if pair is None:
+                table = tables.get(h)
+                if table is None:
+                    table = tables[h] = {}
+                    near = [s for s in range(1, j + k) if (h | ones) >> s & 1]
+                    allowed = tops
+                    for s in range(j + 1, j + k + 1):
+                        if h >> s & 1:
+                            allowed &= ~(1 << (m + j - s))
+                    sub = allowed
+                    while True:
+                        cover = sub
+                        wrapped = 0
+                        for s in near:
+                            wrapped |= sub << s
+                            if s < k:
+                                cover |= sub << s
+                        key = (wrapped >> m & wrap, cover & tops,
+                               sub.bit_count())
+                        table[key] = table.get(key, 0) + 1
+                        if not sub:
+                            break
+                        sub = (sub - 1) & allowed
+                pair = pairs[h, seen] = {}
+                for (wrapped, cover, t_size), c in table.items():
+                    key = wrapped, t_size, k - (cover | seen).bit_count()
+                    pair[key] = pair.get(key, 0) + c
+            for (wrapped, t_size, t_free), c in pair.items():
+                key = fs | wrapped, shift - t_size, free + t_free
+                leaves[key] = leaves.get(key, 0) + n * c
+        # a 2 at t and a 1 at b make 3 at t + b, forcing a T slot there
+        # to 3: the linked slots
+        held, open_ = ts & ~xs, ts & ~ms
+        linked = 0
+        rest = ones
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            hit = held * low & open_
+            linked |= hit | hit // low
+        alone = ts & ~linked
+        x_alone = xs & alone
+        lone = alone & ~(ms | xs)  # 1+x+x^2 unless F forces them
+        x_shift = x_alone.bit_count()
+        masks = linked, ms & linked, xs & linked
+        outs: dict[int, dict[tuple[int, int], int]] = {}
+        for (fs, shift, free), n in leaves.items():
+            f_linked = fs & linked
+            out = outs.get(f_linked)
+            if out is None:
+                out = outs[f_linked] = _top_slots(*masks, f_linked, ones)
+            f_alone = fs & alone
+            shift += x_shift
+            free += (f_alone ^ x_alone).bit_count()
+            u = (lone & ~f_alone).bit_count()
+            for (s, f), c in out.items():
+                key = shift + s, free + f, u
+                bins[key] = bins.get(key, 0) + n * c
+    return bins
+
+
 def _top_slots(ts: int, ms: int, xs: int, fs: int,
                ones: int) -> dict[tuple[int, int], int]:
     """The linked slots of a leaf, as ``{(extra shift, free): count}``.
@@ -1093,7 +1299,9 @@ def _top_slots(ts: int, ms: int, xs: int, fs: int,
     free bit unless forced; a top at t forces the big slot at t + a for
     each 1 at a.  The slots are taken in increasing order, each state the
     set of later slots that earlier tops have forced.  :func:`_subset_scan`
-    passes its T and U slots rotated, so that position j + 1 comes first.
+    passes its T and U slots rotated, so that position j + 1 comes first;
+    :func:`_ones_scan` passes its T slots as they stand, since a depth-4
+    cell has no U slot.
     """
     states = {(0, 0, 0): 1}  # (forced later slots, extra shift, free)
     rest = ts

@@ -136,8 +136,9 @@ def check_constant_brackets() -> CheckResult:
 
 def check_small_depth_closed_forms() -> CheckResult:
     """closed_k2/closed_k3 and the engine's closed genus polynomials of depth
-    2 to 6 (the depth-4 to depth-6 ones from the subset scan) agree with the
-    walker on every cell with f <= 30."""
+    2 to 6 (the depth-4 ones with an early pin from the search over their
+    1s, the other depth-4 to depth-6 ones from the subset scan) agree with
+    the walker on every cell with f <= 30."""
 
     def body():
         cells = 0

@@ -163,6 +163,38 @@ def test_t_denominators_reach_no_exponent():
                                     small.violation)
 
 
+def test_interpolation_reaches_the_exact_route_as_its_step(monkeypatch):
+    # each interpolation instance (q, r) the log test leaves open compares
+    # s_{q-1}^(b(q+1)-a) with s_q^(bq-a), the step at (q-1, 1-r); every
+    # step holds for r in [0, 1], so only these arguments show which step
+    # was decided.  The sequence loop's calls come first: a run with an
+    # empty t-grid makes exactly those
+    calls = []
+    exact = _exact_greater
+    monkeypatch.setattr("kunzlab.bounds._exact_greater",
+                        lambda left, right: calls.append((left, right))
+                        or exact(left, right))
+    for r_grid in ((Fraction(1, 3), Fraction(2, 7)),
+                   (0, Fraction(1, 2), Fraction(5, 6), 1)):
+        calls.clear()
+        check_c_monotone(60, r_grid=r_grid, t_grid=(), interpolation_q_max=60)
+        sequence = len(calls)
+        calls.clear()
+        report = check_c_monotone(60, r_grid=r_grid,
+                                  t_grid=(0, Fraction(1, 7), 1),
+                                  interpolation_q_max=60)
+        assert report.ok
+        want = []
+        for r in map(Fraction, r_grid):
+            a, b = r.numerator, r.denominator
+            for q in range(3, 61):
+                s_p, s_q = cq(q - 1).squared, cq(q).squared
+                if not _log_dominates(s_p, s_q, b * q - a, b):
+                    want.append(([(s_p, b * (q + 1) - a)], [(s_q, b * q - a)]))
+        assert want
+        assert calls[sequence:] == want
+
+
 def test_large_exponent_grid_is_decided_exactly():
     # the denominators 3 and 7 make the 20 instances the log test leaves
     # open products of up to some 50,000 bits, all decided in exact integers

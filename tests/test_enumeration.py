@@ -538,14 +538,65 @@ def test_depth5_closed_form_matches_brute():
 
 
 def test_subset_scan_matches_tuned_cases():
-    # the one rule set, run at q = 3, against its tuned case (depth 4 and up
-    # have no other scan: the _fold sweep and the brute force cover them)
+    # the one rule set, run at q = 3, against its tuned case (the uncapped
+    # depth-4 search over 1s has its own tests below; the _fold sweep and
+    # the brute force cover every depth)
     for length in range(1, 11):
         for j in range(1, length + 1):
             scan = enumeration._frobenius_scan(length, 3, j)
             assert _trimmed(list(enumeration._expand(
                 enumeration._subset_scan(*scan[:3])))) == \
                 _trimmed(_closed(scan))
+
+
+def test_ones_scan_matches_walker():
+    # the depth-4 search over 1s, called directly, so that the pins past
+    # _closed_form's cut are covered too
+    for length in range(1, 12):
+        for j in range(1, length + 1):
+            bins = enumeration._ones_scan(length, j)
+            walked = enumeration._fold(
+                enumeration._frobenius_scan(length, 4, j))
+            assert _trimmed(list(enumeration._expand(bins))) == \
+                _trimmed(walked)
+            assert enumeration._count(bins) == sum(walked)
+
+
+def test_ones_scan_matches_subset_scan(monkeypatch):
+    # every depth-4 cell of count --f F for F <= 64 and of table2, by the
+    # search over 1s and by the subset scan; then _closed_form's routing,
+    # with both spied on: the uncapped cells with 2j <= l + 1 take the
+    # search, and the rest, and a capped cell, keep the scan
+    cells = {(ell, j) for f in range(1, 65)
+             for ell, q, j in enumeration._cells(CountQuery(frobenius=f))
+             if q == 4}
+    cells |= {(ell, j) for f, m in load_table2()
+              for ell, q, j in enumeration._cells(
+                  CountQuery(frobenius=f, length=m - 1)) if q == 4}
+    for ell, j in cells:
+        want = enumeration._subset_scan(
+            *enumeration._frobenius_scan(ell, 4, j)[:3])
+        got = enumeration._ones_scan(ell, j)
+        assert _trimmed(list(enumeration._expand(got))) == \
+            _trimmed(list(enumeration._expand(want)))
+        assert enumeration._count(got) == enumeration._count(want)
+    routed, scanned = [], []
+    monkeypatch.setattr(enumeration, "_ones_scan",
+                        lambda *cell: routed.append(cell) or {})
+    monkeypatch.setattr(enumeration, "_subset_scan",
+                        lambda length, caps, j: scanned.append(
+                            (length, caps, j)) or {})
+    for ell, j in cells:
+        enumeration._closed_form(enumeration._frobenius_scan(ell, 4, j))
+    (capped,) = enumeration._plans(CountQuery(frobenius=52, length=16,
+                                              contains=(20,)))
+    enumeration._closed_form(capped)
+    assert len(cells) == 155
+    assert len(routed) == 93
+    assert sorted(routed) == sorted((ell, j) for ell, j in cells
+                                    if 2 * j <= ell + 1)
+    assert len(scanned) == 155 - 93 + 1
+    assert scanned[-1] == capped[:3]
 
 
 def test_bins_at_one_match_their_expansion():
